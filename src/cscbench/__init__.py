@@ -33,6 +33,7 @@ from .pursuit import (
     ista,
     lasso_objective,
     layered_thresholding,
+    lipschitz_bound,
     lipschitz_constant,
 )
 
@@ -59,6 +60,7 @@ __all__ = [
     "fista",
     "lasso_objective",
     "layered_thresholding",
+    "lipschitz_bound",
     "lipschitz_constant",
     "mlcsc_forward",
     "rescsc_forward",

@@ -20,7 +20,7 @@ from .dictionary import (
     mutual_coherence,
     random_dictionary,
 )
-from .errors import ShapeError
+from .errors import ConvergenceError, DivergenceError, ShapeError
 from .learning import (
     LearnConfig,
     reconstruction_experiment,
@@ -102,7 +102,9 @@ def _cmd_pursue(args):
         lipschitz_override=doc.get("lipschitz_override"),
     )
     solver = fista if doc.get("solver", "ista") == "fista" else ista
-    result = solver(problem, config)
+    # the solver checks its iterates and raises DivergenceError itself
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = solver(problem, config)
     export_trace_csv(result, args.out)
     print(
         json.dumps(
@@ -202,7 +204,14 @@ def main(argv=None):
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (
+        OSError,
+        KeyError,
+        ValueError,
+        json.JSONDecodeError,
+        ConvergenceError,
+        DivergenceError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

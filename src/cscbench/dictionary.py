@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -179,6 +180,36 @@ class ConvDictionary:
     def kernel_array(self):
         """Kernels stacked as an array of shape (width, *k_spatial, c_in)."""
         return np.stack([k.taps for k in self.kernels])
+
+    @cached_property
+    def lmax_bound(self):
+        """Certified upper bound on lambda_max(D.T D), from the taps' DFT.
+
+        A zero-padded dilated convolution is a submatrix of the circular one
+        on any grid of at least out + dilated_extent - 1 points per axis, so
+        ||D||_2 <= max_w sigma_max(K(w)), where K(w) is the c_in x width
+        matrix of the dilated taps' DFT at frequency w (Sedghi, Gupta & Long,
+        "The Singular Values of Convolutional Layers", ICLR 2019). Real taps
+        give K(-w) = conj K(w), so the last axis needs only its first half.
+        Cached: a dictionary is immutable.
+        """
+        spec = self.kernel_array()  # (width, *k_spatial, c_in)
+        last = len(self.kernel_spatial) - 1
+        for axis, (out, ext, k) in enumerate(
+            zip(self.out_spatial, self.dilated_extent, self.kernel_spatial)
+        ):
+            grid = out + ext - 1
+            freqs = np.arange(grid // 2 + 1 if axis == last else grid)
+            phase = np.exp(
+                (-2j * np.pi * self.dilation / grid) * np.outer(freqs, np.arange(k))
+            )
+            spec = np.tensordot(spec, phase, axes=([axis + 1], [1]))
+            spec = np.moveaxis(spec, -1, axis + 1)
+        k_hat = np.moveaxis(spec, 0, -1).reshape(-1, self.channels, self.width)
+        k_hat_h = k_hat.conj().transpose(0, 2, 1)
+        # the smaller of K K^H and K^H K has the same top eigenvalue
+        gram = k_hat @ k_hat_h if self.channels <= self.width else k_hat_h @ k_hat
+        return float(np.linalg.eigvalsh(gram)[:, -1].max())
 
     def _kernel_matrix(self):
         return self.kernel_array().reshape(self.width, -1)

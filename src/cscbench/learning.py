@@ -32,8 +32,7 @@ from .models import (
     msdcsc_layer_forward,
     stack_to_code,
 )
-from .numeric import spectral_lmax
-from .pursuit import LassoProblem, PursuitConfig, lasso_objective
+from .pursuit import LassoProblem, PursuitConfig, lasso_objective, lipschitz_bound
 
 FIXED = "fixed"
 INIT_FRACTION = "init-fraction"
@@ -95,11 +94,11 @@ def _batched_ista(matrix, signals, beta, iterations, lipschitz=None, momentum=Fa
 
     ``momentum=True`` adds the standard accelerated extrapolation; used for
     logging-only probes where a near-optimal objective matters more than the
-    plain-iteration semantics.
+    plain-iteration semantics. Without ``lipschitz`` the step constant is
+    the exact one of ``matrix``.
     """
     if lipschitz is None:
-        gram = lambda v: matrix.T @ (matrix @ v)
-        lipschitz = 2.0 * spectral_lmax(gram, matrix.shape[1], tol=1e-9)
+        lipschitz = lipschitz_bound(matrix)
     codes = np.zeros((matrix.shape[1], signals.shape[1]))
     threshold = beta / lipschitz
     prev = codes
@@ -118,20 +117,6 @@ def _batched_ista(matrix, signals, beta, iterations, lipschitz=None, momentum=Fa
     if not np.all(np.isfinite(codes)):
         raise DivergenceError("batched pursuit produced non-finite codes")
     return codes, lipschitz
-
-
-def _layer_lipschitz(matrix, rows, msd):
-    """Training-loop step constant: 2 lambda_max of the conv-block Gram, +2
-    for identity-augmented layers (the augmentation shifts lambda_max by 1).
-
-    Power iteration approaches lambda_max from below, so a small safety
-    factor keeps the step size valid; 2 lambda_max is already twice the
-    tight gradient constant, so the slack only nudges steps smaller.
-    """
-    conv_block = matrix[:, rows:] if msd else matrix
-    gram = lambda v: conv_block.T @ (conv_block @ v)
-    lmax = spectral_lmax(gram, conv_block.shape[1], tol=1e-6)
-    return 2.0 * 1.01 * lmax + (2.0 if msd else 0.0)
 
 
 def _layer_dictionary(layer, msd):
@@ -218,10 +203,9 @@ def learn_dictionaries(model, dataset, config):
                 betas[i] = _fraction_beta(
                     layer, matrix, signals, config.beta_value, msd
                 )
-            lipschitz = _layer_lipschitz(matrix, layer.kernel_bank.rows, msd)
             codes, _ = _batched_ista(
                 matrix, signals, betas[i], config.pursuit_config.iterations,
-                lipschitz=lipschitz,
+                lipschitz=lipschitz_bound(dictionary),
             )
             if config.dict_step > 0:
                 residual = signals - matrix @ codes
@@ -229,7 +213,6 @@ def learn_dictionaries(model, dataset, config):
                 layer.kernel_bank = _update_kernels(
                     layer, dense_grad, config.dict_step, dictionary
                 )
-                layer._lipschitz_cache = {}
             signals = _codes_to_next_input(codes, layer, msd)
 
         # probe: pursue the whole chain on held-out signals, reconstruct
@@ -239,14 +222,14 @@ def learn_dictionaries(model, dataset, config):
         probe_codes = []
         x = probe
         for i, layer in enumerate(model.layers):
-            matrix = to_matrix(_layer_dictionary(layer, msd))
-            lipschitz = _layer_lipschitz(matrix, layer.kernel_bank.rows, msd)
+            dictionary = _layer_dictionary(layer, msd)
+            matrix = to_matrix(dictionary)
             iterations = (
                 config.objective_iterations if i == 0 else config.probe_iterations
             )
             codes, _ = _batched_ista(
                 matrix, x, betas[i], iterations,
-                lipschitz=lipschitz, momentum=True,
+                lipschitz=lipschitz_bound(dictionary), momentum=True,
             )
             matrices.append(matrix)
             probe_codes.append(codes)
@@ -457,7 +440,10 @@ def unfold_objectives(model, signals, unfolding, solver, layer_inputs=None):
             objectives[idx, li] = lasso_objective(
                 problem, stack_to_code(out_ref, c_in)
             )
-            x = msdcsc_layer_forward(layer, x, unfolding, solver)
+            # at unfolding 0 the chained input is the reference input
+            x = out_ref if unfolding == 0 else msdcsc_layer_forward(
+                layer, x, unfolding, solver
+            )
         flat = x.ravel()
         if codes is None:
             codes = np.empty((n, flat.size))

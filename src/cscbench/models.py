@@ -75,17 +75,13 @@ class LayerParams:
             )
         if self.scale is not None and self.scale <= 0:
             raise ShapeError("scale must be positive")
-        self._lipschitz_cache = {}
 
     def msd_dictionary(self):
         return MSDDictionary(self.kernel_bank)
 
     def lipschitz(self, msd=False):
-        key = "msd" if msd else "conv"
-        if key not in self._lipschitz_cache:
-            operator = self.msd_dictionary() if msd else self.kernel_bank
-            self._lipschitz_cache[key] = pursuit.lipschitz_constant(operator)
-        return self._lipschitz_cache[key]
+        operator = self.msd_dictionary() if msd else self.kernel_bank
+        return pursuit.lipschitz_bound(operator)
 
     def effective_scale(self, msd=False):
         if self.scale is not None:

@@ -228,6 +228,14 @@ def test_verification_suite_all_pass():
         assert report["pass"], report
 
 
+@pytest.mark.parametrize("seed", [3, 4, 10, 12])
+def test_verification_suite_passes_where_power_iteration_stalled(seed):
+    # check_lipschitz_shift's constants once came from a power iteration
+    # that did not converge on these seeds' dictionaries
+    for report in run_verification_suite(seed=seed):
+        assert report["pass"], report
+
+
 def test_individual_checks_pass_on_fresh_seed():
     assert check_lemma3(seed=5)["pass"]
     assert check_lipschitz_shift(seed=5)["pass"]

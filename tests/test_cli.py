@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from cscbench import cli
 from cscbench.cli import main
+from cscbench.errors import ConvergenceError
 
 TINY_FIG4 = {
     "dataset": {
@@ -91,6 +93,47 @@ def test_pursue_writes_trace(tmp_path, capsys):
     lines = out_path.read_text().strip().splitlines()
     assert lines[0] == "iter,objective,delta_inf"
     assert len(lines) == doc["iterations_run"] + 2
+
+
+README_PURSUE = {
+    "dictionary": {
+        "random": {"input_shape": [100, 1], "kernel_size": 3, "width": 4,
+                   "dilation": 1, "padding": "same", "seed": 0}
+    },
+    "signal": {"seed": 1},
+    "beta": 0.1,
+    "iterations": 200,
+    "solver": "ista",
+}
+
+
+def test_pursue_readme_example(tmp_path, capsys):
+    cfg_path = tmp_path / "problem.json"
+    cfg_path.write_text(json.dumps(README_PURSUE))
+    out_path = tmp_path / "trace.csv"
+    assert main(["pursue", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["iterations_run"] == 200
+    assert doc["lipschitz"] > 0.0
+
+
+def test_pursue_divergence_exits_two_without_traceback(tmp_path, capsys):
+    cfg_path = tmp_path / "problem.json"
+    cfg_path.write_text(json.dumps(dict(README_PURSUE, lipschitz_override=1e-300)))
+    out_path = tmp_path / "trace.csv"
+    code = main(["pursue", "--config", str(cfg_path), "--out", str(out_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: pursuit produced non-finite values\n"
+
+
+def test_convergence_error_exits_two(monkeypatch, capsys):
+    def stalled(seed):
+        raise ConvergenceError("did not converge")
+
+    monkeypatch.setattr(cli, "run_verification_suite", stalled)
+    assert main(["verify"]) == 2
+    assert capsys.readouterr().err == "error: did not converge\n"
 
 
 def test_fig4_tiny_config(tmp_path, capsys):

@@ -17,7 +17,6 @@ from cscbench.learning import (
     _batched_ista,
     _codes_to_next_input,
     _fraction_beta,
-    _layer_lipschitz,
     _next_input_to_codes,
     build_fig_models,
     build_pursuit_model,
@@ -29,7 +28,7 @@ from cscbench.learning import (
     write_sweep_csv,
 )
 from cscbench.models import LayerParams, msdcsc_layer_forward
-from cscbench.pursuit import LassoProblem, PursuitConfig, ista
+from cscbench.pursuit import LassoProblem, PursuitConfig, ista, lipschitz_bound
 
 
 def tiny_spec(**overrides):
@@ -91,8 +90,8 @@ def test_layer_lipschitz_upper_bounds_exact_constant(rng):
     dense_msd = to_matrix(MSDDictionary(bank))
     exact_conv = 2.0 * np.linalg.eigvalsh(dense_conv.T @ dense_conv)[-1]
     exact_msd = 2.0 * np.linalg.eigvalsh(dense_msd.T @ dense_msd)[-1]
-    got_conv = _layer_lipschitz(dense_conv, bank.rows, msd=False)
-    got_msd = _layer_lipschitz(dense_msd, bank.rows, msd=True)
+    got_conv = lipschitz_bound(bank)
+    got_msd = lipschitz_bound(MSDDictionary(bank))
     assert exact_conv <= got_conv <= 1.05 * exact_conv
     assert exact_msd <= got_msd <= 1.05 * exact_msd
     # the identity augmentation shifts the constant by exactly +2

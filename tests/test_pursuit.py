@@ -4,9 +4,12 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cscbench.dictionary import (
     SAME,
+    VALID,
     MSDDictionary,
     random_dictionary,
     to_matrix,
@@ -22,6 +25,7 @@ from cscbench.pursuit import (
     ista,
     lasso_objective,
     layered_thresholding,
+    lipschitz_bound,
     lipschitz_constant,
 )
 
@@ -58,6 +62,75 @@ def test_lipschitz_constant_matrix_free_agrees_with_dense():
     assert lipschitz_constant(msd) == pytest.approx(
         lipschitz_constant(to_matrix(msd)), abs=1e-8
     )
+
+
+def exact_lmax(dictionary):
+    mat = to_matrix(dictionary)
+    gram = mat @ mat.T if mat.shape[0] <= mat.shape[1] else mat.T @ mat
+    return float(np.linalg.eigvalsh(gram)[-1])
+
+
+@st.composite
+def conv_dictionaries(draw):
+    rank = draw(st.integers(1, 2))
+    kernel = tuple(draw(st.integers(1, 3)) for _ in range(rank))
+    dilation = draw(st.integers(1, 3))
+    padding = draw(st.sampled_from([VALID, SAME]))
+    spatial = []
+    for k in kernel:
+        extent = dilation * (k - 1) + 1
+        low = extent if padding == VALID else 1
+        spatial.append(draw(st.integers(low, max(low, 12 if rank == 1 else 6))))
+    return random_dictionary(
+        tuple(spatial) + (draw(st.integers(1, 3)),),
+        kernel,
+        draw(st.integers(1, 4)),
+        dilation=dilation,
+        padding=padding,
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+
+
+@given(conv_dictionaries())
+def test_lipschitz_bound_is_certified(conv):
+    got = lipschitz_bound(conv)
+    assert got >= 2.0 * exact_lmax(conv) * (1.0 - 1e-12)
+    if conv.padding == SAME:
+        shift = lipschitz_bound(MSDDictionary(conv)) - got
+        assert shift == pytest.approx(2.0, abs=1e-12 * max(1.0, got))
+
+
+# (input_shape, width, dilation, seed) of the layers the experiments run.
+# Tightness is claimed for these 1D shapes only: on small 2D grids the
+# zero-padded border is a large share of the circulant grid, and the bound
+# can be more than twice the exact value (8x8 input, 3x3 kernel, dilation 3).
+WORKLOAD_LAYERS = [
+    ((100, 1), 16, 1, 0),  # fig4 layer 1
+    ((100, 16), 16, 2, 1),  # fig4 plain layer 2
+    ((100, 17), 16, 2, 1),  # fig4 dense layer 2
+    ((100, 17), 16, 2, 0),  # lasso_solve's layer-2 shape
+    ((100, 1), 4, 1, 0),  # README pursue family
+    ((100, 1), 4, 1, 1),
+    ((100, 1), 4, 1, 2),
+    ((100, 1), 4, 1, 3),
+    ((50, 1), 8, 1, 0),  # unfold-sweep layers
+    ((50, 9), 8, 2, 1),
+]
+
+
+@pytest.mark.parametrize("input_shape, width, dilation, seed", WORKLOAD_LAYERS)
+def test_lipschitz_bound_is_tight_on_workload_layers(input_shape, width, dilation, seed):
+    conv = random_dictionary(
+        input_shape, (3,), width, dilation=dilation, padding=SAME, seed=seed
+    )
+    lam = exact_lmax(conv)
+    assert lipschitz_bound(conv) / (2.0 * lam) <= 1.01
+    assert lipschitz_bound(MSDDictionary(conv)) / (2.0 * (1.0 + lam)) <= 1.01
+
+
+def test_lipschitz_bound_is_exact_for_dense_matrices(rng):
+    mat = rng.standard_normal((6, 9))
+    assert lipschitz_bound(mat) == lipschitz_constant(mat)
 
 
 def test_gram_operator_is_dtd(rng):
