@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .dictionary import (
     mutual_coherence,
     random_dictionary,
 )
-from .errors import ConvergenceError, DivergenceError, ShapeError
+from .errors import ConfigError, ConvergenceError, DivergenceError, ShapeError
 from .learning import (
     LearnConfig,
     reconstruction_experiment,
@@ -101,7 +102,9 @@ def _cmd_pursue(args):
         nonneg=bool(doc.get("nonneg", False)),
         lipschitz_override=doc.get("lipschitz_override"),
     )
-    solver = fista if doc.get("solver", "ista") == "fista" else ista
+    solver = {"ista": ista, "fista": fista}.get(doc.get("solver", "ista"))
+    if solver is None:
+        raise ConfigError(f"unknown solver {doc['solver']!r}; expected 'ista' or 'fista'")
     # the solver checks its iterates and raises DivergenceError itself
     with np.errstate(over="ignore", invalid="ignore"):
         result = solver(problem, config)
@@ -119,13 +122,29 @@ def _cmd_pursue(args):
     return 0
 
 
+def _check_keys(section, allowed, prefix):
+    if not isinstance(section, dict):
+        raise ConfigError(f"fig4 config {prefix or 'document'} must be an object")
+    for key in section:
+        if key not in allowed:
+            raise ConfigError(f"unknown fig4 config key {prefix + key!r}")
+
+
 def _cmd_fig4(args):
     doc = {}
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
-    dataset_spec = SyntheticDatasetSpec(**doc.get("dataset", {}))
-    learn_doc = dict(doc.get("learn", {}))
+    _check_keys(doc, ("dataset", "learn", "model"), "")
+    dataset_doc, learn_doc = doc.get("dataset", {}), doc.get("learn", {})
+    _check_keys(dataset_doc, [f.name for f in fields(SyntheticDatasetSpec)], "dataset.")
+    _check_keys(learn_doc, [f.name for f in fields(LearnConfig)] + ["pursuit_iterations"], "learn.")
+    _check_keys(doc.get("model", {}), ("width", "depth", "kernel_size"), "model.")
+    for key in ("beta_schedule", "pursuit_config"):  # init-fraction, nonneg pursuit
+        if key in learn_doc:
+            raise ConfigError(f"fig4 sets config key 'learn.{key}' itself")
+    dataset_spec = SyntheticDatasetSpec(**dataset_doc)
+    learn_doc = dict(learn_doc)
     pursuit_iterations = learn_doc.pop("pursuit_iterations", 20)
     learn_config = LearnConfig(
         pursuit_config=PursuitConfig(iterations=int(pursuit_iterations), nonneg=True),

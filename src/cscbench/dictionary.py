@@ -39,6 +39,16 @@ VALID = "valid"
 SAME = "same"
 
 
+def _as_batch(arr, shape, what):
+    """``arr`` as a batch (B, *shape), and whether it came with that axis."""
+    arr = np.asarray(arr, dtype=float)
+    if arr.shape == shape:
+        return arr[None], False
+    if arr.shape[1:] != shape:
+        raise ShapeError(f"expected {what} of shape {shape} or a batch, got {arr.shape}")
+    return arr, True
+
+
 @dataclass(frozen=True)
 class ConvKernel:
     """One dilated kernel: taps of shape (*k_spatial, c_in), dilation s >= 1."""
@@ -225,59 +235,71 @@ class ConvDictionary:
     def _pad(self, x):
         if self.padding == VALID:
             return x
-        pads = [(l, r) for l, r in zip(self.pad_left, self.pad_right)] + [(0, 0)]
-        return np.pad(x, pads)
+        pads = [(0, 0)] + [(l, r) for l, r in zip(self.pad_left, self.pad_right)]
+        return np.pad(x, pads + [(0, 0)])
 
-    # -- matrix-free application -------------------------------------------
+    def _windows(self, x):
+        """Signal windows (B, *spatial, c) -> (B * n_positions, n_taps * c):
+        row p holds the taps' inputs at position p, tap-major like the taps."""
+        xp = self._pad(x)
+        n_taps = int(np.prod(self.kernel_spatial))
+        windows = np.empty((len(x), self.n_positions, n_taps, self.channels))
+        for t_idx, (_, sl) in enumerate(self._tap_slices()):
+            windows[:, :, t_idx, :] = xp[(slice(None),) + sl].reshape(
+                len(x), -1, self.channels
+            )
+        return windows.reshape(len(x) * self.n_positions, -1)
+
+    # -- matrix-free application: every operand is (*shape) or a batch
+    # (B, *shape); an unbatched call is the batch of one, squeezed ---------
 
     def adjoint_array(self, x):
         """D.T applied to a signal array (*spatial, c) -> code (*out, width)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.input_shape:
-            raise ShapeError(f"expected signal of shape {self.input_shape}, got {x.shape}")
-        xp = self._pad(x)
-        n_taps = int(np.prod(self.kernel_spatial))
-        windows = np.empty((self.n_positions, n_taps, self.channels))
-        for t_idx, (_, sl) in enumerate(self._tap_slices()):
-            windows[:, t_idx, :] = xp[sl + (slice(None),)].reshape(-1, self.channels)
-        code = windows.reshape(self.n_positions, -1) @ self._kernel_matrix().T
-        return code.reshape(*self.out_spatial, self.width)
+        xb, batched = _as_batch(x, self.input_shape, "signal")
+        code = self._windows(xb) @ self._kernel_matrix().T
+        code = code.reshape(len(xb), *self.out_spatial, self.width)
+        return code if batched else code[0]
 
     def apply_array(self, code):
         """D applied to a code array (*out, width) -> signal (*spatial, c)."""
-        code = np.asarray(code, dtype=float)
-        expected = (*self.out_spatial, self.width)
-        if code.shape != expected:
-            raise ShapeError(f"expected code of shape {expected}, got {code.shape}")
-        contrib = code.reshape(self.n_positions, self.width) @ self._kernel_matrix()
-        contrib = contrib.reshape(self.n_positions, -1, self.channels)
+        cb, batched = _as_batch(code, (*self.out_spatial, self.width), "code")
+        batch = len(cb)
+        contrib = cb.reshape(batch * self.n_positions, self.width) @ self._kernel_matrix()
+        contrib = contrib.reshape(batch, *self.out_spatial, -1, self.channels)
         padded_shape = tuple(
             dim + l + r
             for dim, l, r in zip(self.spatial_shape, self.pad_left, self.pad_right)
         ) + (self.channels,)
-        xp = np.zeros(padded_shape)
+        xp = np.zeros((batch,) + padded_shape)
         for t_idx, (_, sl) in enumerate(self._tap_slices()):
-            xp[sl + (slice(None),)] += contrib[:, t_idx, :].reshape(
-                *self.out_spatial, self.channels
-            )
+            xp[(slice(None),) + sl] += contrib[..., t_idx, :]
         crop = tuple(
             slice(l, l + dim) for l, dim in zip(self.pad_left, self.spatial_shape)
         )
-        return xp[crop + (slice(None),)]
+        signal = xp[(slice(None),) + crop]
+        return signal if batched else signal[0]
 
     def apply(self, code):
-        code = np.asarray(code, dtype=float)
-        if code.shape != (self.cols,):
-            raise ShapeError(f"expected code of length {self.cols}, got {code.shape}")
-        return self.apply_array(code.reshape(*self.out_spatial, self.width)).ravel()
+        cb, batched = _as_batch(code, (self.cols,), "code")
+        signal = self.apply_array(cb.reshape(-1, *self.out_spatial, self.width))
+        return signal.reshape(-1, self.rows) if batched else signal[0].ravel()
 
     def apply_adjoint(self, signal):
-        signal = np.asarray(signal, dtype=float)
-        if signal.shape != (self.rows,):
-            raise ShapeError(
-                f"expected signal of length {self.rows}, got {signal.shape}"
-            )
-        return self.adjoint_array(signal.reshape(self.input_shape)).ravel()
+        sb, batched = _as_batch(signal, (self.rows,), "signal")
+        code = self.adjoint_array(sb.reshape(-1, *self.input_shape))
+        return code.reshape(-1, self.cols) if batched else code[0].ravel()
+
+    def tap_correlation(self, signal, code):
+        """d/dtaps of sum_b <signal_b, D code_b> for flat batches (B, rows) and
+        (B, cols): signal windows correlated with the codes, in the taps'
+        shape (width, *k_spatial, c_in)."""
+        sb, _ = _as_batch(signal, (self.rows,), "signal")
+        cb, _ = _as_batch(code, (self.cols,), "code")
+        if len(sb) != len(cb):
+            raise ShapeError(f"{len(sb)} signals but {len(cb)} codes")
+        windows = self._windows(sb.reshape(-1, *self.input_shape))
+        grads = cb.reshape(-1, self.width).T @ windows
+        return grads.reshape(self.width, *self.kernel_spatial, self.channels)
 
     # -- serialization -------------------------------------------------------
 
@@ -325,22 +347,17 @@ class MSDDictionary:
         return (self.rows, self.cols)
 
     def split_code(self, code):
-        code = np.asarray(code, dtype=float)
-        if code.shape != (self.cols,):
-            raise ShapeError(f"expected code of length {self.cols}, got {code.shape}")
-        return code[: self.rows], code[self.rows :]
+        code, batched = _as_batch(code, (self.cols,), "code")
+        code = code if batched else code[0]
+        return code[..., : self.rows], code[..., self.rows :]
 
     def apply(self, code):
         identity_part, conv_part = self.split_code(code)
         return identity_part + self.conv.apply(conv_part)
 
     def apply_adjoint(self, signal):
-        signal = np.asarray(signal, dtype=float)
-        if signal.shape != (self.rows,):
-            raise ShapeError(
-                f"expected signal of length {self.rows}, got {signal.shape}"
-            )
-        return np.concatenate([signal, self.conv.apply_adjoint(signal)])
+        conv_part = self.conv.apply_adjoint(signal)
+        return np.concatenate([np.asarray(signal, dtype=float), conv_part], axis=-1)
 
     def to_json_dict(self):
         doc = self.conv.to_json_dict()
@@ -436,14 +453,16 @@ def to_matrix(dictionary):
 
 
 def apply(dictionary, code):
+    """D @ code for a code (cols,) or a batch of codes (B, cols)."""
     if isinstance(dictionary, np.ndarray):
-        return dictionary @ np.asarray(code, dtype=float)
+        return (dictionary @ np.asarray(code, dtype=float).T).T
     return dictionary.apply(code)
 
 
 def apply_adjoint(dictionary, signal):
+    """D.T @ signal for a signal (rows,) or a batch of signals (B, rows)."""
     if isinstance(dictionary, np.ndarray):
-        return dictionary.T @ np.asarray(signal, dtype=float)
+        return (dictionary.T @ np.asarray(signal, dtype=float).T).T
     return dictionary.apply_adjoint(signal)
 
 

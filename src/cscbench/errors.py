@@ -9,6 +9,10 @@ class InvalidThresholdError(ValueError):
     """A (soft) threshold was negative."""
 
 
+class ConfigError(ValueError):
+    """A config document names an unknown key or an unknown choice."""
+
+
 class ConvergenceError(RuntimeError):
     """An iterative routine ran out of iterations.
 

@@ -31,24 +31,30 @@ SOFT = "soft"
 NONNEG = "nonneg"
 
 
-def stack_to_code(stack, passthrough_channels):
-    """Channel-stacked array (*spatial, c + w) -> flat MSD code (I-block | conv-block)."""
+def stack_to_code(stack, conv):
+    """Channel-stacked array (..., *spatial, c + w) -> flat MSD code
+    (..., I-block | conv-block) of the dense layer over ``conv``.
+
+    The one owner of this layout: an optional leading batch axis is kept.
+    """
     stack = np.asarray(stack, dtype=float)
+    lead = stack.shape[: stack.ndim - len(conv.input_shape)]
+    c_in = conv.channels
     return np.concatenate(
         [
-            stack[..., :passthrough_channels].ravel(),
-            stack[..., passthrough_channels:].ravel(),
-        ]
+            stack[..., :c_in].reshape(*lead, -1),
+            stack[..., c_in:].reshape(*lead, -1),
+        ],
+        axis=-1,
     )
 
 
-def code_to_stack(code, spatial_shape, passthrough_channels, width):
+def code_to_stack(code, conv):
     """Inverse of :func:`stack_to_code`."""
     code = np.asarray(code, dtype=float)
-    n_pos = int(np.prod(spatial_shape))
-    split = n_pos * passthrough_channels
-    identity_part = code[:split].reshape(*spatial_shape, passthrough_channels)
-    conv_part = code[split:].reshape(*spatial_shape, width)
+    lead = code.shape[:-1]
+    identity_part = code[..., : conv.rows].reshape(*lead, *conv.input_shape)
+    conv_part = code[..., conv.rows :].reshape(*lead, *conv.out_spatial, conv.width)
     return np.concatenate([identity_part, conv_part], axis=-1)
 
 
@@ -225,55 +231,34 @@ class MSDCSCModel:
 
 
 def msdcsc_layer_forward(layer, x, unfolding, solver="ista"):
-    """One dense layer: thresholded step plus ``unfolding`` refinements.
+    """One dense layer: 1 + ``unfolding`` nonnegative proximal-gradient steps
+    from zero on [I | F], with step c and per-channel thresholds -bias.
 
-    With c = 1/L and bias = -beta/L this is exactly ISTA (or FISTA) on the
-    layer's Lasso problem with iterations = 1 + unfolding from a zero
-    initialization.
+    ``x`` is (*spatial, c) or a batch (B, *spatial, c); the output stacks the
+    passthrough and conv channels, (..., *spatial, c + w). With c = 1/L and
+    bias = -beta/L the layer is exactly ``ista`` (or ``fista``) on its Lasso
+    problem with iterations = 1 + unfolding.
     """
     x = np.asarray(x, dtype=float)
     conv = layer.kernel_bank
     if conv.padding != SAME:
         raise ShapeError("dense layers require same-zero padding")
-    if x.shape != conv.input_shape:
+    lead = x.shape[: x.ndim - len(conv.input_shape)]
+    if x.shape[len(lead) :] != conv.input_shape or len(lead) > 1:
         raise ShapeError(
             f"layer input of shape {x.shape} does not match dictionary input "
             f"{conv.input_shape}"
         )
     if solver not in ("ista", "fista"):
         raise ShapeError(f"unknown solver {solver!r}")
-    c_in = conv.channels
-    scale = layer.effective_scale(msd=True)
-    bias_vec = np.concatenate(
-        [np.full(c_in, layer.passthrough_bias), layer.bias]
+    threshold = np.concatenate(
+        [np.full(conv.rows, -layer.passthrough_bias), np.tile(-layer.bias, conv.n_positions)]
     )
-
-    def residual_stack(gamma):
-        # D Gamma - X, the split / transposed-conv / subtract dataflow
-        return gamma[..., :c_in] + conv.apply_array(gamma[..., c_in:]) - x
-
-    def refine(point):
-        f1 = residual_stack(point)
-        f2 = conv.adjoint_array(f1)
-        f3 = np.concatenate([f1, f2], axis=-1)
-        return relu(point - scale * f3 + bias_vec)
-
-    f1 = conv.adjoint_array(x)
-    gamma = relu(scale * np.concatenate([x, f1], axis=-1) + bias_vec)
-
-    if solver == "ista":
-        for _ in range(unfolding):
-            gamma = refine(gamma)
-    else:
-        prev = gamma
-        t_k = 1.0
-        for _ in range(unfolding):
-            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
-            z = gamma + ((t_k - 1.0) / t_next) * (gamma - prev)
-            prev = gamma
-            gamma = refine(z)
-            t_k = t_next
-    return gamma
+    iterates = pursuit.proximal_gradient(
+        layer.msd_dictionary(), x.reshape(*lead, conv.rows), threshold,
+        layer.effective_scale(msd=True), momentum=solver == "fista", nonneg=True,
+    )
+    return code_to_stack(pursuit.last_iterate(iterates, 1 + unfolding), conv)
 
 
 def msdcsc_forward(model, x, return_all=False):

@@ -1,24 +1,22 @@
-"""Lasso pursuit: ISTA, FISTA, and single-step layered thresholding.
+"""Lasso pursuit: one proximal-gradient loop, ISTA/FISTA, layered thresholding.
 
-The gradient step is 1/L with L = 2 * lambda_max(D.T D), the constant
-stated alongside the update rule, even though the tight Lipschitz constant
-of the smooth term is lambda_max(D.T D); pass ``lipschitz_override`` to use
-another constant.
-
-Two functions give L:
-  * ``lipschitz_bound`` is the step constant of every solver in the
-    package. It is certified: never below the true constant, which is what
-    the ISTA/FISTA rates need (Beck & Teboulle 2009). For a conv dictionary
-    it is 2 * ``ConvDictionary.lmax_bound``, a closed form from the taps'
-    DFT; [I | D] adds exactly 2; a dense matrix gets the exact value.
-  * ``lipschitz_constant`` is the exact value, the top eigenvalue of the
-    smaller Gram matrix. It assembles that matrix, so it is an oracle for
-    verification-scale dictionaries only.
+``proximal_gradient`` is the only ISTA/FISTA iteration in the package;
+``ista``/``fista`` (the per-sample reference solvers), the dense layers of
+:mod:`cscbench.models` and the batched pursuits of :mod:`cscbench.learning`
+all run it. Steps are 1/L with L = 2 * lambda_max(D.T D), the constant
+stated alongside the update rule (the tight one is lambda_max(D.T D));
+``lipschitz_override`` sets another. ``lipschitz_bound`` gives every
+solver's L: certified, never below the true constant, as the ISTA/FISTA
+rates need (Beck & Teboulle 2009); a closed form from the taps' DFT for
+conv dictionaries, +2 for [I | D], exact for dense ones.
+``lipschitz_constant`` is the exact value from the assembled Gram matrix,
+an oracle for verification-scale dictionaries only.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +28,7 @@ from .numeric import soft_threshold, soft_threshold_nonneg, symmetric_eigs
 
 @dataclass
 class LassoProblem:
-    """One layer's instance of min 0.5||X - D G||^2 + sum beta_j |G_j|."""
+    """min 0.5||X - D G||^2 + sum beta_j |G_j| for a signal (rows,) or batch (B, rows)."""
 
     dictionary: object  # ConvDictionary | MSDDictionary | dense ndarray
     signal: np.ndarray
@@ -39,9 +37,9 @@ class LassoProblem:
     def __post_init__(self):
         self.signal = np.asarray(self.signal, dtype=float)
         rows, cols = dct.operator_shape(self.dictionary)
-        if self.signal.shape != (rows,):
+        if self.signal.ndim not in (1, 2) or self.signal.shape[-1] != rows:
             raise ShapeError(
-                f"signal of length {self.signal.shape} does not match "
+                f"signal of shape {self.signal.shape} does not match "
                 f"dictionary rows {rows}"
             )
         beta = np.asarray(self.beta, dtype=float)
@@ -52,6 +50,8 @@ class LassoProblem:
                 f"per-entry beta of length {beta.shape[0]} does not match "
                 f"dictionary columns {cols}"
             )
+        if not np.all(np.isfinite(beta)):
+            raise InvalidThresholdError("beta must be finite")
         if np.any(beta < 0):
             raise InvalidThresholdError("beta must be nonnegative")
         self.beta = float(beta) if beta.ndim == 0 else beta
@@ -94,11 +94,11 @@ def gram_operator(dictionary):
 def lipschitz_constant(dictionary):
     """Exact 2 * lambda_max(D.T D), from the smaller of D D.T and D.T D.
 
-    D is assembled row by row with ``apply_adjoint``; the Jacobi
-    eigensolver limits this to verification-scale dictionaries.
+    D is assembled by one batched ``apply_adjoint`` of the identity; the
+    Jacobi eigensolver limits this to verification-scale dictionaries.
     """
     rows, cols = dct.operator_shape(dictionary)
-    mat = np.array([dct.apply_adjoint(dictionary, e) for e in np.eye(rows)])
+    mat = dct.apply_adjoint(dictionary, np.eye(rows))
     gram = mat @ mat.T if rows <= cols else mat.T @ mat
     return 2.0 * float(symmetric_eigs(gram)[-1])
 
@@ -116,111 +116,115 @@ def lipschitz_bound(dictionary):
 
 
 def lasso_objective(problem, code):
+    """The objective at ``code``; one value per row for a batched problem."""
     code = np.asarray(code, dtype=float)
-    if code.shape != (problem.code_length,):
+    if code.shape != problem.signal.shape[:-1] + (problem.code_length,):
         raise ShapeError(
             f"code of shape {code.shape} does not match dictionary columns "
             f"{problem.code_length}"
         )
     residual = problem.signal - dct.apply(problem.dictionary, code)
-    return float(0.5 * residual @ residual + np.sum(problem.beta * np.abs(code)))
+    penalty = np.sum(problem.beta * np.abs(code), axis=-1)
+    objective = 0.5 * np.vecdot(residual, residual) + penalty
+    return float(objective) if code.ndim == 1 else objective
 
 
-def _resolve_lipschitz(problem, config):
-    if config.lipschitz_override is not None:
-        if config.lipschitz_override <= 0:
-            raise ShapeError("lipschitz_override must be positive")
-        return float(config.lipschitz_override)
-    return lipschitz_bound(problem.dictionary)
+def proximal_gradient(
+    dictionary, signal, threshold, step, momentum=False, nonneg=False, init=None
+):
+    """The package's one ISTA/FISTA iteration (Beck & Teboulle 2009).
 
-
-def _step(problem, code, lipschitz, threshold, op):
-    residual = dct.apply(problem.dictionary, code) - problem.signal
-    grad = dct.apply_adjoint(problem.dictionary, residual)
-    new = op(code - grad / lipschitz, threshold)
-    if not np.all(np.isfinite(new)):
-        raise DivergenceError("pursuit produced non-finite values")
-    return new
-
-
-def ista(problem, config, init=None):
-    """Proximal-gradient updates; stops early once the inf-norm delta < tol."""
-    if init is None:
-        init = np.zeros(problem.code_length)
-    code = np.asarray(init, dtype=float).copy()
-    if code.shape != (problem.code_length,):
-        raise ShapeError(
-            f"init of shape {code.shape} does not match dictionary columns "
-            f"{problem.code_length}"
-        )
-    lipschitz = _resolve_lipschitz(problem, config)
-    threshold = np.asarray(problem.beta) / lipschitz
-    op = soft_threshold_nonneg if config.nonneg else soft_threshold
-    trace = [lasso_objective(problem, code)]
-    deltas = []
-    iterations_run = 0
-    for _ in range(config.iterations):
-        new = _step(problem, code, lipschitz, threshold, op)
-        delta = float(np.max(np.abs(new - code))) if new.size else 0.0
+    Yields ``(code, t)`` after each step G <- prox(G - step D.T (D G - X))
+    without end; callers stop on their own test. ``t`` is the FISTA momentum
+    (1 without ``momentum``). Signals and codes are (rows,)/(cols,) or
+    batches (B, rows)/(B, cols). ``threshold`` (beta * step for a Lasso
+    problem) broadcasts against a code; the prox is max(v - threshold, 0)
+    with ``nonneg``, which takes negative thresholds (network biases), else
+    the soft threshold. ``init=None`` starts from zero.
+    """
+    signal = np.asarray(signal, dtype=float)
+    code = point = None if init is None else np.asarray(init, dtype=float)
+    t_k = 1.0
+    while True:
+        # v = point - step * grad in place: on batches these temporaries
+        # set the callers' peak memory. From zero the gradient is -D.T X.
+        residual = -signal if point is None else dct.apply(dictionary, point) - signal
+        v = dct.apply_adjoint(dictionary, residual)
+        v *= -step
+        if point is not None:
+            v += point
+        if nonneg:
+            v -= threshold
+            new = np.maximum(v, 0.0, out=v)
+        else:
+            new = soft_threshold(v, threshold)
+        if not np.all(np.isfinite(new)):
+            raise DivergenceError("pursuit produced non-finite values")
+        yield new, t_k
+        point = new
+        if momentum:
+            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
+            if code is not None:  # None only from zero, where t_k - 1 = 0
+                point = new + ((t_k - 1.0) / t_next) * (new - code)
+            t_k = t_next
         code = new
-        iterations_run += 1
-        trace.append(lasso_objective(problem, code))
-        deltas.append(delta)
-        if delta < config.tol:
-            break
-    return PursuitResult(
-        code=code,
-        objective_trace=trace,
-        iterations_run=iterations_run,
-        lipschitz=lipschitz,
-        delta_trace=deltas,
-    )
 
 
-def fista(problem, config, init=None):
-    """Momentum-accelerated variant; identical to ISTA when iterations == 1."""
-    if init is None:
-        init = np.zeros(problem.code_length)
-    start = np.asarray(init, dtype=float).copy()
+def last_iterate(iterates, steps):
+    """The code after ``steps`` >= 1 steps of a ``proximal_gradient`` run."""
+    for code, _ in itertools.islice(iterates, steps):
+        pass
+    return code
+
+
+def _solve(problem, config, init, momentum):
+    """``proximal_gradient`` on one signal (a batch fails the objective's
+    shape check), recording the traces; stops once the inf-norm delta < tol."""
+    start = np.zeros(problem.code_length) if init is None else np.asarray(init, float)
     if start.shape != (problem.code_length,):
         raise ShapeError(
             f"init of shape {start.shape} does not match dictionary columns "
             f"{problem.code_length}"
         )
-    lipschitz = _resolve_lipschitz(problem, config)
-    threshold = np.asarray(problem.beta) / lipschitz
-    op = soft_threshold_nonneg if config.nonneg else soft_threshold
+    if config.lipschitz_override is None:
+        lipschitz = lipschitz_bound(problem.dictionary)
+    elif config.lipschitz_override > 0:
+        lipschitz = float(config.lipschitz_override)
+    else:
+        raise ShapeError("lipschitz_override must be positive")
+    iterates = proximal_gradient(
+        problem.dictionary, problem.signal, np.asarray(problem.beta) / lipschitz,
+        1.0 / lipschitz, momentum, config.nonneg, None if init is None else start,
+    )
     trace = [lasso_objective(problem, start)]
     deltas = []
-    t_values = [1.0]
-
-    code = _step(problem, start, lipschitz, threshold, op)
-    deltas.append(float(np.max(np.abs(code - start))) if code.size else 0.0)
-    trace.append(lasso_objective(problem, code))
-    prev = code.copy()  # first momentum step sees a zero difference
-    iterations_run = 1
-    t_k = 1.0
-    for _ in range(config.iterations - 1):
+    t_values = []
+    code = start
+    for new, t_k in itertools.islice(iterates, config.iterations):
+        deltas.append(float(np.max(np.abs(new - code))) if new.size else 0.0)
+        code = new
+        trace.append(lasso_objective(problem, code))
+        t_values.append(t_k)
         if deltas[-1] < config.tol:
             break
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
-        z = code + ((t_k - 1.0) / t_next) * (code - prev)
-        new = _step(problem, z, lipschitz, threshold, op)
-        deltas.append(float(np.max(np.abs(new - code))) if new.size else 0.0)
-        prev = code
-        code = new
-        t_k = t_next
-        t_values.append(t_next)
-        iterations_run += 1
-        trace.append(lasso_objective(problem, code))
     return PursuitResult(
         code=code,
         objective_trace=trace,
-        iterations_run=iterations_run,
+        iterations_run=len(deltas),
         lipschitz=lipschitz,
-        momentum_trace=t_values,
+        momentum_trace=t_values if momentum else None,
         delta_trace=deltas,
     )
+
+
+def ista(problem, config, init=None):
+    """Proximal-gradient updates; stops early once the inf-norm delta < tol."""
+    return _solve(problem, config, init, momentum=False)
+
+
+def fista(problem, config, init=None):
+    """Momentum-accelerated variant; identical to ISTA when iterations == 1."""
+    return _solve(problem, config, init, momentum=True)
 
 
 def layered_thresholding(layers, signal, operator="soft"):

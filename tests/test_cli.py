@@ -127,6 +127,22 @@ def test_pursue_divergence_exits_two_without_traceback(tmp_path, capsys):
     assert err == "error: pursuit produced non-finite values\n"
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"solver": "fistaa"}, "error: unknown solver 'fistaa'; expected 'ista' or 'fista'\n"),
+        ({"beta": float("nan")}, "error: beta must be finite\n"),
+    ],
+)
+def test_pursue_bad_config_value_exits_two(tmp_path, capsys, override, message):
+    cfg_path = tmp_path / "problem.json"
+    cfg_path.write_text(json.dumps(dict(README_PURSUE, **override)))
+    out_path = tmp_path / "trace.csv"
+    assert main(["pursue", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out_path.exists()
+
+
 def test_convergence_error_exits_two(monkeypatch, capsys):
     def stalled(seed):
         raise ConvergenceError("did not converge")
@@ -146,6 +162,26 @@ def test_fig4_tiny_config(tmp_path, capsys):
     lines = (out_dir / "fig4.csv").read_text().strip().splitlines()
     assert lines[0].startswith("iteration,unsuccess_count_ml,unsuccess_count_msd")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("dataset", "n_clases", 4, "unknown fig4 config key 'dataset.n_clases'"),
+        ("learn", "beta_schedule", "fixed", "fig4 sets config key 'learn.beta_schedule' itself"),
+        ("learn", "pursuit_config", {}, "fig4 sets config key 'learn.pursuit_config' itself"),
+        ("model", "widht", 4, "unknown fig4 config key 'model.widht'"),
+    ],
+)
+def test_fig4_rejects_config_keys(tmp_path, capsys, section, key, value, message):
+    doc = json.loads(json.dumps(TINY_FIG4))
+    doc[section][key] = value
+    cfg_path = tmp_path / "fig4.json"
+    cfg_path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["fig4", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
 
 
 def test_unfold_sweep_deterministic_csv(tmp_path):

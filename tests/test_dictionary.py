@@ -32,6 +32,7 @@ from cscbench.errors import (
     MaterializationError,
     ShapeError,
 )
+from strategies import conv_dictionaries
 
 
 def naive_matrix_1d(kernels, length, channels, dilation, padding):
@@ -113,6 +114,38 @@ def test_adjoint_inner_product_identity(seed):
     lhs = apply(conv, code) @ signal
     rhs = code @ apply_adjoint(conv, signal)
     assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(lhs)))
+
+
+@given(conv_dictionaries(), st.integers(1, 4), st.integers(0, 2**31 - 1))
+def test_batched_operators_match_dense(conv, batch, seed):
+    # a leading batch axis on every operator: rows are the unbatched calls
+    rng = np.random.default_rng(seed)
+    operators = [conv] + ([MSDDictionary(conv)] if conv.padding == SAME else [])
+    for op in operators:
+        dense = to_matrix(op)
+        codes = rng.standard_normal((batch, op.cols))
+        signals = rng.standard_normal((batch, op.rows))
+        for fn, arg, want in (
+            (apply, codes, codes @ dense.T),
+            (apply_adjoint, signals, signals @ dense),
+        ):
+            for operand in (op, dense):
+                got = fn(operand, arg)
+                assert got.shape == want.shape
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+                for b in range(batch):
+                    assert np.allclose(fn(operand, arg[b]), got[b], rtol=0.0, atol=1e-13)
+    code_arrays = codes[:, : conv.cols].reshape(batch, *conv.out_spatial, conv.width)
+    signal_arrays = signals[:, : conv.rows].reshape(batch, *conv.input_shape)
+    assert np.allclose(
+        conv.apply_array(code_arrays).reshape(batch, -1),
+        conv.apply(code_arrays.reshape(batch, -1)),
+        rtol=0.0,
+        atol=1e-13,
+    )
+    assert conv.adjoint_array(signal_arrays).shape == (batch,) + code_arrays.shape[1:]
+    with pytest.raises(ShapeError):
+        conv.apply(codes[:, :1].reshape(batch, 1, 1))
 
 
 def test_msd_matrix_is_identity_then_conv_block():
@@ -274,6 +307,8 @@ def test_project_to_kernel_grad_matches_finite_differences(rng):
     residual = signals - dense @ codes
     dense_grad = -(residual @ codes.T) / codes.shape[1]
     grads = project_to_kernel_grad(dense_grad, conv)
+    # the matrix-free form: residual windows correlated with the codes
+    free = -conv.tap_correlation(residual.T, codes.T) / codes.shape[1]
 
     eps = 1e-6
     for j, kernel in enumerate(conv.kernels):
@@ -288,6 +323,28 @@ def test_project_to_kernel_grad_matches_finite_differences(rng):
             lo = loss(ConvDictionary(kernels_lo, conv.input_shape, conv.padding))
             fd = (hi - lo) / (2.0 * eps)
             assert grads[(j,) + idx] == pytest.approx(fd, abs=1e-6)
+            assert free[(j,) + idx] == pytest.approx(fd, abs=1e-6)
+
+
+@given(conv_dictionaries(), st.integers(1, 4), st.integers(0, 2**31 - 1))
+def test_tap_correlation_is_projected_dense_gradient(conv, batch, seed):
+    rng = np.random.default_rng(seed)
+    residual = rng.standard_normal((batch, conv.rows))
+    codes = rng.standard_normal((batch, conv.cols))
+    want = project_to_kernel_grad(residual.T @ codes, conv)
+    got = conv.tap_correlation(residual, codes)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("input_shape, dilation", [((100, 1), 1), ((100, 17), 2)])
+def test_tap_correlation_at_fig4_layer_shapes(rng, input_shape, dilation):
+    conv = random_dictionary(input_shape, (3,), 16, dilation=dilation, padding=SAME)
+    residual = rng.standard_normal((128, conv.rows))
+    codes = np.maximum(rng.standard_normal((128, conv.cols)), 0.0)
+    want = project_to_kernel_grad(-(residual.T @ codes) / 128, conv)
+    got = -conv.tap_correlation(residual, codes) / 128
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_project_to_kernel_grad_msd_ignores_identity_block(rng):

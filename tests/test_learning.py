@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cscbench.data import SyntheticDatasetSpec, generate_dataset
+from cscbench import dictionary, learning
 from cscbench.dictionary import SAME, MSDDictionary, random_dictionary, to_matrix
 from cscbench.errors import ShapeError
 from cscbench.learning import (
@@ -14,10 +15,9 @@ from cscbench.learning import (
     FIG4_HEADER,
     LearnConfig,
     SWEEP_HEADER,
-    _batched_ista,
-    _codes_to_next_input,
     _fraction_beta,
-    _next_input_to_codes,
+    _next_input,
+    _pursue,
     build_fig_models,
     build_pursuit_model,
     learn_dictionaries,
@@ -27,7 +27,7 @@ from cscbench.learning import (
     write_experiment_csv,
     write_sweep_csv,
 )
-from cscbench.models import LayerParams, msdcsc_layer_forward
+from cscbench.models import LayerParams, msdcsc_layer_forward, stack_to_code
 from cscbench.pursuit import LassoProblem, PursuitConfig, ista, lipschitz_bound
 
 
@@ -59,7 +59,8 @@ def test_batched_ista_matches_per_sample_solver(rng):
     mat = rng.standard_normal((8, 12))
     signals = rng.standard_normal((8, 5))
     beta = 0.2
-    codes, lipschitz = _batched_ista(mat, signals, beta, iterations=15)
+    codes = _pursue(mat, signals.T, beta, 15, momentum=False)
+    lipschitz = lipschitz_bound(mat)
     for j in range(5):
         problem = LassoProblem(mat, signals[:, j], beta)
         want = ista(
@@ -68,7 +69,7 @@ def test_batched_ista_matches_per_sample_solver(rng):
                 iterations=15, nonneg=True, tol=1e-300, lipschitz_override=lipschitz
             ),
         ).code
-        assert np.max(np.abs(codes[:, j] - want)) < 1e-12
+        assert np.max(np.abs(codes[j] - want)) < 1e-12
 
 
 def test_batched_ista_momentum_improves_objective(rng):
@@ -76,11 +77,11 @@ def test_batched_ista_momentum_improves_objective(rng):
     signals = rng.standard_normal((10, 4))
 
     def objective(codes):
-        resid = signals - mat @ codes
+        resid = signals - mat @ codes.T
         return 0.5 * np.sum(resid**2) + 0.1 * np.sum(np.abs(codes))
 
-    plain, _ = _batched_ista(mat, signals, 0.1, iterations=25)
-    accel, _ = _batched_ista(mat, signals, 0.1, iterations=25, momentum=True)
+    plain = _pursue(mat, signals.T, 0.1, 25, momentum=False)
+    accel = _pursue(mat, signals.T, 0.1, 25, momentum=True)
     assert objective(accel) <= objective(plain) + 1e-9
 
 
@@ -95,21 +96,19 @@ def test_layer_lipschitz_upper_bounds_exact_constant(rng):
     assert exact_conv <= got_conv <= 1.05 * exact_conv
     assert exact_msd <= got_msd <= 1.05 * exact_msd
     # the identity augmentation shifts the constant by exactly +2
-    assert got_msd - got_conv == pytest.approx(
-        2.0 + 2.0 * 1.01 * 0.0, abs=1e-4 * got_conv
-    )
+    assert got_msd - got_conv == pytest.approx(2.0, abs=1e-4 * got_conv)
 
 
 def test_code_signal_reshape_round_trip(rng):
     bank = random_dictionary((6, 2), (3,), 3, padding=SAME, seed=1)
     layer = LayerParams(bank, bias=np.zeros(3))
-    codes = rng.standard_normal((MSDDictionary(bank).cols, 4))
-    forward = _codes_to_next_input(codes, layer, msd=True)
-    assert forward.shape == (6 * 5, 4)
-    back = _next_input_to_codes(forward, layer, msd=True)
+    codes = rng.standard_normal((4, MSDDictionary(bank).cols))
+    forward = _next_input(codes, layer, msd=True)
+    assert forward.shape == (4, 6 * 5)
+    back = stack_to_code(forward.reshape(4, 6, 5), bank)
     assert np.array_equal(back, codes)
     # plain layers pass through unchanged
-    assert _codes_to_next_input(codes, layer, msd=False) is codes
+    assert _next_input(codes, layer, msd=False) is codes
 
 
 # -- training loop ---------------------------------------------------------------------
@@ -144,6 +143,19 @@ def test_learn_dictionaries_updates_and_renormalizes_kernels():
             assert np.linalg.norm(taps) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_learn_dictionaries_runs_matrix_free(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("training materialized a dictionary")
+
+    for module in (dictionary, learning):
+        for name in ("to_matrix", "project_to_kernel_grad"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    dataset = generate_dataset(tiny_spec())
+    for model in build_fig_models(12, width=2, depth=2, seed=0):
+        _, records = learn_dictionaries(model, dataset, tiny_config())
+        assert len(records) == 2
+
+
 def test_learn_dictionaries_rejects_unknown_model():
     dataset = generate_dataset(tiny_spec())
     with pytest.raises(ShapeError):
@@ -157,6 +169,8 @@ def test_learn_config_validation():
         LearnConfig(beta_schedule="warmup")
     with pytest.raises(ShapeError):
         LearnConfig(beta_schedule=INIT_FRACTION, beta_value=1.5)
+    with pytest.raises(ShapeError):
+        LearnConfig(probe_iterations=0)
     LearnConfig(beta_schedule=FIXED, beta_value=1.5)  # absolute beta may exceed 1
 
 
@@ -166,18 +180,14 @@ def test_fig_models_share_first_layer_kernels_and_beta(rng):
     msd_bank = msd_model.layers[0].kernel_bank
     for a, b in zip(ml_bank.kernels, msd_bank.kernels):
         assert np.array_equal(a.taps, b.taps)
-    signals = rng.standard_normal((12, 7))
-    beta_ml = _fraction_beta(
-        ml_model.layers[0], to_matrix(ml_bank), signals, 0.1, msd=False
-    )
-    beta_msd = _fraction_beta(
-        msd_model.layers[0],
-        to_matrix(MSDDictionary(msd_bank)),
-        signals,
-        0.1,
-        msd=True,
-    )
+    signals = rng.standard_normal((7, 12))
+    beta_ml = _fraction_beta(ml_bank, signals, 0.1)
+    beta_msd = _fraction_beta(msd_bank, signals, 0.1)
     assert beta_ml == pytest.approx(beta_msd, abs=1e-15)
+    # the beta reads the conv block alone, not the dense layer's identity
+    dense_conv_block = to_matrix(MSDDictionary(msd_bank))[:, msd_bank.rows :]
+    want = 0.1 * np.max(np.abs(signals @ dense_conv_block))
+    assert beta_msd == pytest.approx(want, rel=1e-13)
 
 
 # -- unfolding sweep -------------------------------------------------------------------

@@ -213,12 +213,43 @@ def test_msd_layer_equals_generic_solver(rng, solver, unfolding):
     layer = pursuit_layer(9, 2, 3, seed=11, beta=0.2, dilation=2)
     x = rng.standard_normal((9, 2))
     out = msdcsc_layer_forward(layer, x, unfolding, solver)
-    code = stack_to_code(out, layer.kernel_bank.channels)
+    code = stack_to_code(out, layer.kernel_bank)
 
     problem = LassoProblem(MSDDictionary(layer.kernel_bank), x.ravel(), 0.2)
     config = PursuitConfig(iterations=1 + unfolding, nonneg=True, tol=1e-300)
     reference = (ista if solver == "ista" else fista)(problem, config)
     assert np.max(np.abs(code - reference.code)) < 1e-10
+
+
+@pytest.mark.parametrize("solver", ["ista", "fista"])
+def test_msd_layer_batch_equals_per_sample_calls(rng, solver):
+    bank = random_dictionary((9, 2), (3,), 3, dilation=2, padding=SAME, seed=3)
+    # a pursuit-mode layer, and a network-mode one whose positive biases are
+    # negative thresholds
+    layers = [
+        pursuit_layer(9, 2, 3, seed=11, beta=0.2, dilation=2),
+        LayerParams(bank, bias=np.array([0.1, -0.2, 0.3]), scale=0.2, passthrough_bias=0.05),
+    ]
+    xs = rng.standard_normal((4, 9, 2))
+    for layer in layers:
+        for unfolding in (0, 2):
+            out = msdcsc_layer_forward(layer, xs, unfolding, solver)
+            assert out.shape == (4, 9, 5)
+            for b in range(4):
+                want = msdcsc_layer_forward(layer, xs[b], unfolding, solver)
+                assert np.max(np.abs(out[b] - want)) <= 1e-13
+    with pytest.raises(ShapeError):
+        msdcsc_layer_forward(layers[0], xs[None], 0, solver)
+
+
+def test_stack_code_layout_takes_a_batch_axis(rng):
+    conv = random_dictionary((6, 2), (3,), 3, padding=SAME, seed=1)
+    stacks = rng.standard_normal((4, 6, 5))
+    codes = stack_to_code(stacks, conv)
+    assert codes.shape == (4, MSDDictionary(conv).cols)
+    for b in range(4):
+        assert np.array_equal(codes[b], stack_to_code(stacks[b], conv))
+    assert np.array_equal(code_to_stack(codes, conv), stacks)
 
 
 def test_msdcsc_forward_channel_growth(rng):
@@ -245,9 +276,10 @@ def test_msdcsc_model_validation():
 
 
 def test_stack_code_round_trip(rng):
+    conv = random_dictionary((7, 2), (3,), 3, padding=SAME, seed=0)
     stack = rng.standard_normal((7, 5))
-    code = stack_to_code(stack, passthrough_channels=2)
-    back = code_to_stack(code, (7,), passthrough_channels=2, width=3)
+    code = stack_to_code(stack, conv)
+    back = code_to_stack(code, conv)
     assert np.array_equal(back, stack)
 
 

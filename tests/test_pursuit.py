@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from cscbench.dictionary import (
     SAME,
-    VALID,
     MSDDictionary,
     random_dictionary,
     to_matrix,
 )
-from cscbench.errors import InvalidThresholdError, ShapeError
+from cscbench.errors import DivergenceError, InvalidThresholdError, ShapeError
 from cscbench.numeric import soft_threshold, soft_threshold_nonneg
 from cscbench.pursuit import (
     LassoProblem,
@@ -25,9 +24,12 @@ from cscbench.pursuit import (
     ista,
     lasso_objective,
     layered_thresholding,
+    last_iterate,
     lipschitz_bound,
     lipschitz_constant,
+    proximal_gradient,
 )
+from strategies import conv_dictionaries
 
 
 def random_problem(rng, nonneg=False, n=None, m=None, beta=None):
@@ -68,27 +70,6 @@ def exact_lmax(dictionary):
     mat = to_matrix(dictionary)
     gram = mat @ mat.T if mat.shape[0] <= mat.shape[1] else mat.T @ mat
     return float(np.linalg.eigvalsh(gram)[-1])
-
-
-@st.composite
-def conv_dictionaries(draw):
-    rank = draw(st.integers(1, 2))
-    kernel = tuple(draw(st.integers(1, 3)) for _ in range(rank))
-    dilation = draw(st.integers(1, 3))
-    padding = draw(st.sampled_from([VALID, SAME]))
-    spatial = []
-    for k in kernel:
-        extent = dilation * (k - 1) + 1
-        low = extent if padding == VALID else 1
-        spatial.append(draw(st.integers(low, max(low, 12 if rank == 1 else 6))))
-    return random_dictionary(
-        tuple(spatial) + (draw(st.integers(1, 3)),),
-        kernel,
-        draw(st.integers(1, 4)),
-        dilation=dilation,
-        padding=padding,
-        seed=draw(st.integers(0, 2**31 - 1)),
-    )
 
 
 @given(conv_dictionaries())
@@ -160,6 +141,23 @@ def test_problem_validation(rng):
         LassoProblem(np.eye(3), np.zeros(3), -0.1)
     with pytest.raises(ShapeError):
         LassoProblem(np.eye(3), np.zeros(3), np.ones(4))
+    for bad in (np.nan, np.inf, np.array([0.1, np.nan, 0.1])):
+        with pytest.raises(InvalidThresholdError, match="finite"):
+            LassoProblem(np.eye(3), np.zeros(3), bad)
+
+
+def test_lasso_objective_batch_rows_are_per_sample_objectives(rng):
+    conv = random_dictionary((9, 2), (3,), 3, dilation=2, padding=SAME, seed=4)
+    msd = MSDDictionary(conv)
+    signals = rng.standard_normal((3, msd.rows))
+    codes = rng.standard_normal((3, msd.cols))
+    got = lasso_objective(LassoProblem(msd, signals, 0.2), codes)
+    assert got.shape == (3,)
+    for b in range(3):
+        want = lasso_objective(LassoProblem(msd, signals[b], 0.2), codes[b])
+        assert got[b] == pytest.approx(want, rel=1e-13)
+    with pytest.raises(ShapeError):
+        lasso_objective(LassoProblem(msd, signals, 0.2), codes[0])
 
 
 # -- ISTA ----------------------------------------------------------------------
@@ -278,6 +276,68 @@ def test_fista_converges_to_identity_solution(rng):
     problem = LassoProblem(np.eye(6), x, 0.2)
     result = fista(problem, PursuitConfig(iterations=500, tol=1e-14))
     assert np.max(np.abs(result.code - soft_threshold(x, 0.2))) < 1e-8
+
+
+# -- the shared proximal-gradient loop -------------------------------------------
+
+
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 4),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+def test_proximal_gradient_batch_rows_equal_per_sample_solvers(
+    seed, batch, momentum, nonneg, msd
+):
+    rng = np.random.default_rng(seed)
+    conv = random_dictionary(
+        (int(rng.integers(4, 10)), int(rng.integers(1, 3))),
+        (3,),
+        int(rng.integers(1, 4)),
+        dilation=int(rng.integers(1, 4)),
+        padding=SAME,
+        seed=seed,
+    )
+    dictionary = MSDDictionary(conv) if msd else conv
+    signals = rng.standard_normal((batch, conv.rows))
+    beta = float(rng.uniform(0.01, 0.5))
+    iterations = int(rng.integers(1, 15))
+    lipschitz = lipschitz_bound(dictionary)
+    codes = last_iterate(
+        proximal_gradient(
+            dictionary, signals, beta / lipschitz, 1.0 / lipschitz, momentum, nonneg
+        ),
+        iterations,
+    )
+    solver = fista if momentum else ista
+    config = PursuitConfig(iterations=iterations, tol=1e-300, nonneg=nonneg)
+    for b in range(batch):
+        want = solver(LassoProblem(dictionary, signals[b], beta), config).code
+        assert np.max(np.abs(codes[b] - want)) <= 1e-12
+
+
+def test_proximal_gradient_takes_negative_nonneg_thresholds(rng):
+    mat = rng.standard_normal((5, 7))
+    signal = rng.standard_normal(5)
+    code, _ = next(proximal_gradient(mat, signal, -0.3, 0.1, nonneg=True))
+    assert np.allclose(code, np.maximum(0.1 * mat.T @ signal + 0.3, 0.0), atol=1e-15)
+    with pytest.raises(InvalidThresholdError):
+        next(proximal_gradient(mat, signal, -0.3, 0.1, nonneg=False))
+
+
+def test_proximal_gradient_raises_on_non_finite_iterates(rng):
+    mat = rng.standard_normal((5, 7))
+    iterates = proximal_gradient(mat, rng.standard_normal(5), 0.0, 1e300)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+        last_iterate(iterates, 10)
+
+
+def test_solvers_reject_a_batched_problem(rng):
+    problem = LassoProblem(np.eye(3), rng.standard_normal((2, 3)), 0.1)
+    with pytest.raises(ShapeError):
+        ista(problem, PursuitConfig(iterations=2))
 
 
 # -- layered thresholding --------------------------------------------------------
