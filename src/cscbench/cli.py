@@ -130,34 +130,46 @@ def _check_keys(section, allowed, prefix):
             raise ConfigError(f"unknown fig4 config key {prefix + key!r}")
 
 
+def _config_section(doc, name, cls=None, **defaults):
+    """``doc[name]`` over the fields of ``cls`` and ``defaults``: known keys
+    only, none that fig4 sets itself, each value a finite number (bools are
+    not), whole where the default is an int; returned as the default's type."""
+    if cls is not None:
+        defaults.update((f.name, f.default) for f in fields(cls))
+    section = doc.get(name, {})
+    _check_keys(section, defaults, name + ".")
+    checked = {}
+    for key, value in section.items():
+        label = f"{name}.{key}"
+        if label in ("learn.beta_schedule", "learn.pursuit_config"):  # set in _cmd_fig4
+            raise ConfigError(f"fig4 sets config key {label!r} itself")
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+            raise ConfigError(f"fig4 config key {label!r} must be a finite number, got {value!r}")
+        if isinstance(defaults[key], int) and value != int(value):
+            raise ConfigError(f"fig4 config key {label!r} must be a whole number")
+        checked[key] = type(defaults[key])(value)
+    return checked
+
+
 def _cmd_fig4(args):
     doc = {}
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
     _check_keys(doc, ("dataset", "learn", "model"), "")
-    dataset_doc, learn_doc = doc.get("dataset", {}), doc.get("learn", {})
-    _check_keys(dataset_doc, [f.name for f in fields(SyntheticDatasetSpec)], "dataset.")
-    _check_keys(learn_doc, [f.name for f in fields(LearnConfig)] + ["pursuit_iterations"], "learn.")
-    _check_keys(doc.get("model", {}), ("width", "depth", "kernel_size"), "model.")
-    for key in ("beta_schedule", "pursuit_config"):  # init-fraction, nonneg pursuit
-        if key in learn_doc:
-            raise ConfigError(f"fig4 sets config key 'learn.{key}' itself")
-    dataset_spec = SyntheticDatasetSpec(**dataset_doc)
-    learn_doc = dict(learn_doc)
-    pursuit_iterations = learn_doc.pop("pursuit_iterations", 20)
+    dataset_doc = _config_section(doc, "dataset", SyntheticDatasetSpec)
+    learn_doc = _config_section(doc, "learn", LearnConfig, pursuit_iterations=20)
+    model_doc = _config_section(doc, "model", width=16, depth=2, kernel_size=3)
+    iterations = learn_doc.pop("pursuit_iterations", 20)
     learn_config = LearnConfig(
-        pursuit_config=PursuitConfig(iterations=int(pursuit_iterations), nonneg=True),
+        pursuit_config=PursuitConfig(iterations=iterations, nonneg=True),
         beta_schedule="init-fraction",
         **learn_doc,
     )
-    model_doc = doc.get("model", {})
     rows = reconstruction_experiment(
-        dataset_spec=dataset_spec,
+        dataset_spec=SyntheticDatasetSpec(**dataset_doc),
         learn_config=learn_config,
-        width=int(model_doc.get("width", 16)),
-        depth=int(model_doc.get("depth", 2)),
-        kernel_size=int(model_doc.get("kernel_size", 3)),
+        **model_doc,
     )
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "fig4.csv")

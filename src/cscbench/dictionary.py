@@ -419,12 +419,15 @@ def export_matrix_csv(matrix, path):
 # -- dense materialization ---------------------------------------------------
 
 
-def _conv_to_matrix(conv):
-    if conv.rows * conv.cols > MAX_DENSE_ENTRIES:
+def _check_dense_size(rows, cols):
+    if rows * cols > MAX_DENSE_ENTRIES:
         raise MaterializationError(
-            f"dense matrix would have {conv.rows * conv.cols} entries "
-            f"(limit {MAX_DENSE_ENTRIES})"
+            f"dense matrix would have {rows * cols} entries (limit {MAX_DENSE_ENTRIES})"
         )
+
+
+def _conv_to_matrix(conv):
+    _check_dense_size(conv.rows, conv.cols)
     mat = np.zeros((conv.rows, conv.cols))
     s = conv.dilation
     pad_left = conv.pad_left
@@ -470,12 +473,20 @@ def operator_shape(dictionary):
     return tuple(dictionary.shape)
 
 
+def _assemble(dictionary):
+    """D as an array: a dense one as given, an operator by one batched
+    ``apply_adjoint`` of the identity (row i is D.T e_i), size-guarded."""
+    if isinstance(dictionary, np.ndarray):
+        return np.asarray(dictionary, dtype=float)
+    if not isinstance(dictionary, (ConvDictionary, MSDDictionary)):
+        raise ShapeError(f"cannot materialize {type(dictionary).__name__}")
+    _check_dense_size(*dictionary.shape)
+    return apply_adjoint(dictionary, np.eye(dictionary.rows))
+
+
 def mutual_coherence(dictionary):
     """max_{i != j} |<d_i, d_j>| over unit-normalized columns."""
-    if isinstance(dictionary, np.ndarray):
-        mat = np.asarray(dictionary, dtype=float)
-    else:
-        mat = to_matrix(dictionary)
+    mat = _assemble(dictionary)
     norms = np.linalg.norm(mat, axis=0)
     if np.any(norms == 0):
         raise DegenerateDictionaryError("dictionary has a zero column")

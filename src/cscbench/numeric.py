@@ -15,7 +15,7 @@ from .errors import (
     ShapeError,
 )
 
-JACOBI_MAX_DIM = 512
+JACOBI_MAX_DIM = 512  # rows limit of symmetric_eigs
 
 
 def _check_threshold(b, shape):
@@ -96,44 +96,21 @@ def spectral_lmax(op, dim, tol=1e-10, max_iter=10_000, seed=0):
 
 
 def symmetric_eigs(mat, tol=1e-10):
-    """All eigenvalues of a small symmetric matrix via cyclic Jacobi sweeps.
+    """All eigenvalues of a small symmetric matrix, ascending (LAPACK).
 
-    Reserved for verification-scale matrices (<= {JACOBI_MAX_DIM} rows);
+    Reserved for verification-scale matrices (<= JACOBI_MAX_DIM rows);
     larger requests are rejected rather than silently slow.
     """
     a = np.array(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n > JACOBI_MAX_DIM:
+    if a.shape[0] > JACOBI_MAX_DIM:
         raise MatrixSizeError(
-            f"Jacobi eigensolver is limited to {JACOBI_MAX_DIM}x{JACOBI_MAX_DIM}"
+            f"symmetric eigensolver is limited to {JACOBI_MAX_DIM}x{JACOBI_MAX_DIM}"
         )
+    if not np.all(np.isfinite(a)):  # LAPACK would return a wrong, finite spectrum
+        raise ShapeError("matrix has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(a))))
     if np.max(np.abs(a - a.T)) > tol * scale:
         raise ShapeError("matrix is not symmetric within tolerance")
-    a = 0.5 * (a + a.T)
-
-    target = 1e-15 * scale * n
-    for _ in range(100):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2) * 2.0)
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                rows = a[[p, q], :]
-                a[[p, q], :] = rot.T @ rows
-                cols = a[:, [p, q]]
-                a[:, [p, q]] = cols @ rot
-                a[p, q] = a[q, p] = 0.0
-    return np.sort(np.diag(a))
+    return np.linalg.eigvalsh(0.5 * (a + a.T))

@@ -73,8 +73,10 @@ class PursuitConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ShapeError("iterations must be >= 1")
-        if self.tol <= 0:
-            raise ShapeError("tol must be positive")
+        if not 0 < self.tol < np.inf:  # written so that NaN fails it
+            raise ShapeError("tol must be finite and positive")
+        if not (self.lipschitz_override is None or 0 < self.lipschitz_override < np.inf):
+            raise ShapeError("lipschitz_override must be finite and positive")
 
 
 @dataclass
@@ -95,11 +97,10 @@ def lipschitz_constant(dictionary):
     """Exact 2 * lambda_max(D.T D), from the smaller of D D.T and D.T D.
 
     D is assembled by one batched ``apply_adjoint`` of the identity; the
-    Jacobi eigensolver limits this to verification-scale dictionaries.
+    LAPACK eigensolver's size limit keeps this to verification scale.
     """
-    rows, cols = dct.operator_shape(dictionary)
-    mat = dct.apply_adjoint(dictionary, np.eye(rows))
-    gram = mat @ mat.T if rows <= cols else mat.T @ mat
+    mat = dct._assemble(dictionary)
+    gram = mat @ mat.T if mat.shape[0] <= mat.shape[1] else mat.T @ mat
     return 2.0 * float(symmetric_eigs(gram)[-1])
 
 
@@ -188,10 +189,8 @@ def _solve(problem, config, init, momentum):
         )
     if config.lipschitz_override is None:
         lipschitz = lipschitz_bound(problem.dictionary)
-    elif config.lipschitz_override > 0:
-        lipschitz = float(config.lipschitz_override)
     else:
-        raise ShapeError("lipschitz_override must be positive")
+        lipschitz = float(config.lipschitz_override)
     iterates = proximal_gradient(
         problem.dictionary, problem.signal, np.asarray(problem.beta) / lipschitz,
         1.0 / lipschitz, momentum, config.nonneg, None if init is None else start,

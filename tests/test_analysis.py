@@ -245,6 +245,11 @@ def test_individual_checks_pass_on_fresh_seed():
     assert check_dilation_coherence(seed=5)["pass"]
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_lemma3_spectrum_deviation_near_roundoff(seed):
+    assert check_lemma3(seed=seed)["max_deviation"] <= 1e-12
+
+
 def test_suite_to_json_parses():
     reports = run_verification_suite(seed=1)
     doc = json.loads(suite_to_json(reports))

@@ -132,6 +132,7 @@ def test_pursue_divergence_exits_two_without_traceback(tmp_path, capsys):
     [
         ({"solver": "fistaa"}, "error: unknown solver 'fistaa'; expected 'ista' or 'fista'\n"),
         ({"beta": float("nan")}, "error: beta must be finite\n"),
+        ({"tol": float("nan")}, "error: tol must be finite and positive\n"),
     ],
 )
 def test_pursue_bad_config_value_exits_two(tmp_path, capsys, override, message):
@@ -171,6 +172,11 @@ def test_fig4_tiny_config(tmp_path, capsys):
         ("learn", "beta_schedule", "fixed", "fig4 sets config key 'learn.beta_schedule' itself"),
         ("learn", "pursuit_config", {}, "fig4 sets config key 'learn.pursuit_config' itself"),
         ("model", "widht", 4, "unknown fig4 config key 'model.widht'"),
+        ("dataset", "n_classes", "x", "fig4 config key 'dataset.n_classes' must be a finite number, got 'x'"),
+        ("learn", "dict_step", "0.3", "fig4 config key 'learn.dict_step' must be a finite number, got '0.3'"),
+        ("dataset", "noise_sigma", float("nan"), "fig4 config key 'dataset.noise_sigma' must be a finite number, got nan"),
+        ("model", "width", 2.5, "fig4 config key 'model.width' must be a whole number"),
+        ("learn", "pursuit_iterations", True, "fig4 config key 'learn.pursuit_iterations' must be a finite number, got True"),
     ],
 )
 def test_fig4_rejects_config_keys(tmp_path, capsys, section, key, value, message):

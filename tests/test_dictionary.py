@@ -179,6 +179,21 @@ def test_materialization_size_guard():
     conv = random_dictionary((4000, 1), (3,), 2, padding=SAME, seed=0)
     with pytest.raises(MaterializationError):
         to_matrix(conv)
+    with pytest.raises(MaterializationError):
+        mutual_coherence(conv)
+
+
+@given(conv_dictionaries(), st.booleans())
+def test_mutual_coherence_matches_dense_oracle(conv, lift):
+    # the batched-adjoint assembly gives to_matrix's D bit for bit
+    dictionary = MSDDictionary(conv) if lift and conv.padding == SAME else conv
+    try:
+        want = mutual_coherence(to_matrix(dictionary))
+    except DegenerateDictionaryError:
+        with pytest.raises(DegenerateDictionaryError):
+            mutual_coherence(dictionary)
+        return
+    assert mutual_coherence(dictionary) == want
 
 
 def test_same_padding_preserves_grid():

@@ -176,3 +176,10 @@ def test_symmetric_eigs_size_limit():
     big = JACOBI_MAX_DIM + 1
     with pytest.raises(MatrixSizeError):
         symmetric_eigs(np.eye(big))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_symmetric_eigs_rejects_non_finite(bad):
+    # LAPACK returns a finite spectrum ([0, -0] for NaN) instead of failing
+    with pytest.raises(ShapeError):
+        symmetric_eigs(np.array([[bad, 0.0], [0.0, 1.0]]))

@@ -238,6 +238,11 @@ def test_pursuit_config_validation():
         PursuitConfig(iterations=0)
     with pytest.raises(ShapeError):
         PursuitConfig(tol=0.0)
+    for bad in (float("nan"), float("inf")):  # NaN passed `tol <= 0`
+        with pytest.raises(ShapeError):
+            PursuitConfig(tol=bad)
+        with pytest.raises(ShapeError):
+            PursuitConfig(lipschitz_override=bad)
 
 
 # -- FISTA ----------------------------------------------------------------------
