@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -143,7 +144,11 @@ def _config_section(doc, name, cls=None, **defaults):
         label = f"{name}.{key}"
         if label in ("learn.beta_schedule", "learn.pursuit_config"):  # set in _cmd_fig4
             raise ConfigError(f"fig4 sets config key {label!r} itself")
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+        try:  # bools are not numbers here; strings and lists raise TypeError
+            finite = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # OverflowError: an int beyond float range
+            finite = False
+        if not finite:
             raise ConfigError(f"fig4 config key {label!r} must be a finite number, got {value!r}")
         if isinstance(defaults[key], int) and value != int(value):
             raise ConfigError(f"fig4 config key {label!r} must be a whole number")
@@ -158,9 +163,10 @@ def _cmd_fig4(args):
             doc = json.load(fh)
     _check_keys(doc, ("dataset", "learn", "model"), "")
     dataset_doc = _config_section(doc, "dataset", SyntheticDatasetSpec)
-    learn_doc = _config_section(doc, "learn", LearnConfig, pursuit_iterations=20)
+    iterations = 20  # pursuit depth unless learn.pursuit_iterations sets it
+    learn_doc = _config_section(doc, "learn", LearnConfig, pursuit_iterations=iterations)
     model_doc = _config_section(doc, "model", width=16, depth=2, kernel_size=3)
-    iterations = learn_doc.pop("pursuit_iterations", 20)
+    iterations = learn_doc.pop("pursuit_iterations", iterations)
     learn_config = LearnConfig(
         pursuit_config=PursuitConfig(iterations=iterations, nonneg=True),
         beta_schedule="init-fraction",

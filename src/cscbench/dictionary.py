@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -469,19 +470,27 @@ def apply_adjoint(dictionary, signal):
     return dictionary.apply_adjoint(signal)
 
 
-def operator_shape(dictionary):
-    return tuple(dictionary.shape)
-
-
 def _assemble(dictionary):
     """D as an array: a dense one as given, an operator by one batched
-    ``apply_adjoint`` of the identity (row i is D.T e_i), size-guarded."""
+    ``apply_adjoint`` of the identity (row i is D.T e_i), size-guarded.
+    When that batch (rows x identity, padded signal, windows and code)
+    would exceed MAX_DENSE_ENTRIES, D comes from ``to_matrix``'s entry
+    loop, which allocates D alone and is the faster of the two there.
+    """
     if isinstance(dictionary, np.ndarray):
         return np.asarray(dictionary, dtype=float)
     if not isinstance(dictionary, (ConvDictionary, MSDDictionary)):
         raise ShapeError(f"cannot materialize {type(dictionary).__name__}")
-    _check_dense_size(*dictionary.shape)
-    return apply_adjoint(dictionary, np.eye(dictionary.rows))
+    (rows, cols), conv = dictionary.shape, getattr(dictionary, "conv", dictionary)
+    _check_dense_size(rows, cols)
+    conv_cols = cols - rows if conv is not dictionary else cols  # conv.cols, not recomputed
+    # padded signal: at most spatial + extent points per axis
+    padded = math.prod(map(sum, zip(conv.spatial_shape, conv.dilated_extent)))
+    windows = conv_cols // conv.width * math.prod(conv.kernel_spatial)
+    per_row = rows + cols + conv_cols + (padded + windows) * conv.channels
+    if rows * per_row > MAX_DENSE_ENTRIES:
+        return to_matrix(dictionary)
+    return apply_adjoint(dictionary, np.eye(rows))
 
 
 def mutual_coherence(dictionary):

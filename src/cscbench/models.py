@@ -97,12 +97,7 @@ class LayerParams:
     @classmethod
     def pursuit_mode(cls, kernel_bank, beta, msd=False):
         """Layer whose forward pass is one ISTA step: c = 1/L, bias = -beta/L."""
-        layer = cls(
-            kernel_bank,
-            bias=np.zeros(kernel_bank.width),
-            scale=None,
-            passthrough_bias=0.0,
-        )
+        layer = cls(kernel_bank, bias=np.zeros(kernel_bank.width))
         lipschitz = layer.lipschitz(msd=msd)
         layer.scale = 1.0 / lipschitz
         layer.bias = np.full(kernel_bank.width, -beta / lipschitz)
@@ -185,23 +180,17 @@ def rescsc_forward(model, x):
             )
         scale = second.effective_scale()
         pre = scale * conv.adjoint_array(x)
-        if model.variant != "plain":
-            code_shape = (*conv.out_spatial, conv.width)
-            if model.variant in ("full", "resnet"):
-                if pair_input.shape != code_shape:
-                    raise ShapeError(
-                        f"residual input of shape {pair_input.shape} does not "
-                        f"match the layer's code shape {code_shape}; the "
-                        "addition requires shape-preserving layers"
-                    )
-                pre = pre + pair_input
-            if model.variant in ("full", "simplified"):
-                if pair_input.shape != code_shape:
-                    raise ShapeError(
-                        f"residual input of shape {pair_input.shape} does not "
-                        f"match the layer's code shape {code_shape}"
-                    )
-                pre = pre - scale * conv.adjoint_array(conv.apply_array(pair_input))
+        code_shape = (*conv.out_spatial, conv.width)
+        if model.variant != "plain" and pair_input.shape != code_shape:
+            raise ShapeError(
+                f"residual input of shape {pair_input.shape} does not match "
+                f"the layer's code shape {code_shape}; the residual terms "
+                "require shape-preserving layers"
+            )
+        if model.variant in ("full", "resnet"):
+            pre = pre + pair_input
+        if model.variant in ("full", "simplified"):
+            pre = pre - scale * conv.adjoint_array(conv.apply_array(pair_input))
         x = _activate(pre, second.bias, model.operator)
         codes.append(x)
     return codes

@@ -51,14 +51,6 @@ def relu(z):
     return np.maximum(np.asarray(z, dtype=float), 0.0)
 
 
-def _power_start(dim, seed):
-    # All-ones direction plus a small seeded perturbation so a start vector
-    # orthogonal to the top eigenvector cannot stall the iteration.
-    rng = np.random.default_rng(seed)
-    v = np.ones(dim) + 1e-3 * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 def spectral_lmax(op, dim, tol=1e-10, max_iter=10_000, seed=0):
     """Largest eigenvalue of a symmetric PSD operator via power iteration.
 
@@ -77,7 +69,10 @@ def spectral_lmax(op, dim, tol=1e-10, max_iter=10_000, seed=0):
             raise ShapeError(f"expected a {dim}x{dim} matrix, got {mat.shape}")
         matvec = mat.dot
 
-    v = _power_start(dim, seed)
+    # All-ones direction plus a small seeded perturbation so a start vector
+    # orthogonal to the top eigenvector cannot stall the iteration.
+    v = np.ones(dim) + 1e-3 * np.random.default_rng(seed).standard_normal(dim)
+    v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(max_iter):
         w = np.asarray(matvec(v), dtype=float)

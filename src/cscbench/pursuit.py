@@ -36,7 +36,7 @@ class LassoProblem:
 
     def __post_init__(self):
         self.signal = np.asarray(self.signal, dtype=float)
-        rows, cols = dct.operator_shape(self.dictionary)
+        rows, cols = self.dictionary.shape
         if self.signal.ndim not in (1, 2) or self.signal.shape[-1] != rows:
             raise ShapeError(
                 f"signal of shape {self.signal.shape} does not match "
@@ -58,7 +58,7 @@ class LassoProblem:
 
     @property
     def code_length(self):
-        return dct.operator_shape(self.dictionary)[1]
+        return self.dictionary.shape[1]
 
 
 @dataclass
@@ -238,7 +238,7 @@ def layered_thresholding(layers, signal, operator="soft"):
     current = np.asarray(signal, dtype=float)
     codes = []
     for i, (dictionary, threshold) in enumerate(layers):
-        rows = dct.operator_shape(dictionary)[0]
+        rows = dictionary.shape[0]
         if current.shape != (rows,):
             raise ShapeError(
                 f"layer {i}: signal of length {current.shape} does not match "

@@ -177,6 +177,16 @@ def test_fig4_tiny_config(tmp_path, capsys):
         ("dataset", "noise_sigma", float("nan"), "fig4 config key 'dataset.noise_sigma' must be a finite number, got nan"),
         ("model", "width", 2.5, "fig4 config key 'model.width' must be a whole number"),
         ("learn", "pursuit_iterations", True, "fig4 config key 'learn.pursuit_iterations' must be a finite number, got True"),
+        pytest.param(
+            "dataset", "seed", 10**400,
+            f"fig4 config key 'dataset.seed' must be a finite number, got {10**400!r}",
+            id="dataset-seed-int-beyond-float-range",
+        ),
+        pytest.param(
+            "dataset", "noise_sigma", -(10**400),
+            f"fig4 config key 'dataset.noise_sigma' must be a finite number, got {-(10**400)!r}",
+            id="dataset-noise_sigma-int-beyond-float-range",
+        ),
     ],
 )
 def test_fig4_rejects_config_keys(tmp_path, capsys, section, key, value, message):

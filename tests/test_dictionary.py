@@ -1,12 +1,14 @@
 """Convolutional dictionaries against a test-local naive convolution oracle."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cscbench.dictionary as dictionary_module
 from cscbench.dictionary import (
     SAME,
     VALID,
@@ -181,6 +183,31 @@ def test_materialization_size_guard():
         to_matrix(conv)
     with pytest.raises(MaterializationError):
         mutual_coherence(conv)
+
+
+@pytest.mark.parametrize(
+    "input_len, kernel, width, lift",
+    [
+        (400, 51, 1, False),  # D just under the guard; adjoint windows 8.2M entries
+        (100, 301, 1, True),  # one identity row's windows alone exceed the guard
+        (20, 3, 2, False),  # small enough for the batched adjoint
+        (20, 3, 2, True),
+    ],
+)
+def test_assembly_memory_stays_within_size_guard(monkeypatch, input_len, kernel, width, lift):
+    limit = 200_000
+    monkeypatch.setattr(dictionary_module, "MAX_DENSE_ENTRIES", limit)
+    conv = random_dictionary((input_len, 1), (kernel,), width, padding=SAME, seed=0)
+    dictionary = MSDDictionary(conv) if lift else conv
+    tracemalloc.start()
+    try:
+        mat = dictionary_module._assemble(dictionary)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * limit * 8  # D plus temporaries within the guard
+    assert np.array_equal(mat, to_matrix(dictionary))
+    assert mutual_coherence(dictionary) == mutual_coherence(to_matrix(dictionary))
 
 
 @given(conv_dictionaries(), st.booleans())
