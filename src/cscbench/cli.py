@@ -85,6 +85,14 @@ def _dictionary_from_config(doc):
     return dictionary_from_json(doc)
 
 
+def _finite_number(value):
+    """Whether a JSON value is a finite number; bools are not numbers here."""
+    try:  # strings and lists raise TypeError
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # OverflowError: an int beyond float range
+        return False
+
+
 def _cmd_pursue(args):
     with open(args.config) as fh:
         doc = json.load(fh)
@@ -97,11 +105,19 @@ def _cmd_pursue(args):
     else:
         signal = np.asarray(signal_spec, dtype=float)
     problem = LassoProblem(dictionary, signal, float(doc.get("beta", 0.1)))
+    nonneg = doc.get("nonneg", False)
+    if not isinstance(nonneg, bool):
+        raise ConfigError(f"pursue config key 'nonneg' must be true or false, got {nonneg!r}")
+    override = doc.get("lipschitz_override")
+    if override is not None and not _finite_number(override):
+        raise ConfigError(
+            f"pursue config key 'lipschitz_override' must be a finite number, got {override!r}"
+        )
     config = PursuitConfig(
         iterations=int(doc.get("iterations", 100)),
         tol=float(doc.get("tol", 1e-12)),
-        nonneg=bool(doc.get("nonneg", False)),
-        lipschitz_override=doc.get("lipschitz_override"),
+        nonneg=nonneg,
+        lipschitz_override=override,
     )
     solver = {"ista": ista, "fista": fista}.get(doc.get("solver", "ista"))
     if solver is None:
@@ -144,11 +160,7 @@ def _config_section(doc, name, cls=None, **defaults):
         label = f"{name}.{key}"
         if label in ("learn.beta_schedule", "learn.pursuit_config"):  # set in _cmd_fig4
             raise ConfigError(f"fig4 sets config key {label!r} itself")
-        try:  # bools are not numbers here; strings and lists raise TypeError
-            finite = not isinstance(value, bool) and math.isfinite(value)
-        except (TypeError, OverflowError):  # OverflowError: an int beyond float range
-            finite = False
-        if not finite:
+        if not _finite_number(value):
             raise ConfigError(f"fig4 config key {label!r} must be a finite number, got {value!r}")
         if isinstance(defaults[key], int) and value != int(value):
             raise ConfigError(f"fig4 config key {label!r} must be a whole number")

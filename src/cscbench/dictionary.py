@@ -124,7 +124,7 @@ class ConvDictionary:
         self.input_shape = input_shape
         self.padding = padding
 
-    # -- geometry -----------------------------------------------------------
+    # -- geometry: cached, since a dictionary is immutable -------------------
 
     @property
     def width(self):
@@ -146,11 +146,11 @@ class ConvDictionary:
     def spatial_shape(self):
         return self.input_shape[:-1]
 
-    @property
+    @cached_property
     def dilated_extent(self):
         return self.kernels[0].dilated_extent
 
-    @property
+    @cached_property
     def out_spatial(self):
         if self.padding == SAME:
             return self.spatial_shape
@@ -158,13 +158,13 @@ class ConvDictionary:
             dim - ext + 1 for dim, ext in zip(self.spatial_shape, self.dilated_extent)
         )
 
-    @property
+    @cached_property
     def pad_left(self):
         if self.padding == VALID:
             return tuple(0 for _ in self.spatial_shape)
         return tuple((ext - 1) // 2 for ext in self.dilated_extent)
 
-    @property
+    @cached_property
     def pad_right(self):
         if self.padding == VALID:
             return tuple(0 for _ in self.spatial_shape)
@@ -172,19 +172,19 @@ class ConvDictionary:
             ext - 1 - left for ext, left in zip(self.dilated_extent, self.pad_left)
         )
 
-    @property
+    @cached_property
     def n_positions(self):
-        return int(np.prod(self.out_spatial))
+        return math.prod(self.out_spatial)
 
-    @property
+    @cached_property
     def rows(self):
-        return int(np.prod(self.input_shape))
+        return math.prod(self.input_shape)
 
-    @property
+    @cached_property
     def cols(self):
         return self.n_positions * self.width
 
-    @property
+    @cached_property
     def shape(self):
         return (self.rows, self.cols)
 
@@ -222,33 +222,45 @@ class ConvDictionary:
         gram = k_hat @ k_hat_h if self.channels <= self.width else k_hat_h @ k_hat
         return float(np.linalg.eigvalsh(gram)[:, -1].max())
 
+    @cached_property
     def _kernel_matrix(self):
-        return self.kernel_array().reshape(self.width, -1)
+        """The taps as (width, n_taps * c_in), tap-major like the windows."""
+        mat = self.kernel_array().reshape(self.width, -1)
+        mat.flags.writeable = False
+        return mat
 
+    @cached_property
     def _tap_slices(self):
-        s = self.dilation
-        out = self.out_spatial
-        for t in itertools.product(*(range(k) for k in self.kernel_spatial)):
-            yield t, tuple(
-                slice(t[d] * s, t[d] * s + out[d]) for d in range(len(out))
-            )
+        """Per tap, the padded signal's slice (batch axis first) it reads."""
+        s, out = self.dilation, self.out_spatial
+        return tuple(
+            (slice(None),) + tuple(slice(t[d] * s, t[d] * s + out[d]) for d in range(len(out)))
+            for t in itertools.product(*(range(k) for k in self.kernel_spatial))
+        )
 
-    def _pad(self, x):
-        if self.padding == VALID:
-            return x
-        pads = [(0, 0)] + [(l, r) for l, r in zip(self.pad_left, self.pad_right)]
-        return np.pad(x, pads + [(0, 0)])
+    @cached_property
+    def _padded_shape(self):
+        """Shape of a zero-padded signal, without the batch axis."""
+        spatial = map(sum, zip(self.spatial_shape, self.pad_left, self.pad_right))
+        return (*spatial, self.channels)
+
+    @cached_property
+    def _crop(self):
+        """The slice of a padded signal batch that holds the signal."""
+        return (slice(None),) + tuple(
+            slice(l, l + dim) for l, dim in zip(self.pad_left, self.spatial_shape)
+        )
 
     def _windows(self, x):
         """Signal windows (B, *spatial, c) -> (B * n_positions, n_taps * c):
         row p holds the taps' inputs at position p, tap-major like the taps."""
-        xp = self._pad(x)
-        n_taps = int(np.prod(self.kernel_spatial))
-        windows = np.empty((len(x), self.n_positions, n_taps, self.channels))
-        for t_idx, (_, sl) in enumerate(self._tap_slices()):
-            windows[:, :, t_idx, :] = xp[(slice(None),) + sl].reshape(
-                len(x), -1, self.channels
-            )
+        xp = x
+        if self.padding == SAME:
+            xp = np.zeros((len(x), *self._padded_shape))
+            xp[self._crop] = x
+        windows = np.empty((len(x), self.n_positions, len(self._tap_slices), self.channels))
+        for t_idx, sl in enumerate(self._tap_slices):
+            windows[:, :, t_idx, :] = xp[sl].reshape(len(x), -1, self.channels)
         return windows.reshape(len(x) * self.n_positions, -1)
 
     # -- matrix-free application: every operand is (*shape) or a batch
@@ -257,27 +269,22 @@ class ConvDictionary:
     def adjoint_array(self, x):
         """D.T applied to a signal array (*spatial, c) -> code (*out, width)."""
         xb, batched = _as_batch(x, self.input_shape, "signal")
-        code = self._windows(xb) @ self._kernel_matrix().T
+        code = self._windows(xb) @ self._kernel_matrix.T
         code = code.reshape(len(xb), *self.out_spatial, self.width)
         return code if batched else code[0]
 
     def apply_array(self, code):
-        """D applied to a code array (*out, width) -> signal (*spatial, c)."""
+        """D applied to a code array (*out, width) -> signal (*spatial, c): per
+        tap one GEMM (B * n_positions, width) @ (width, c) into the padded signal."""
         cb, batched = _as_batch(code, (*self.out_spatial, self.width), "code")
-        batch = len(cb)
-        contrib = cb.reshape(batch * self.n_positions, self.width) @ self._kernel_matrix()
-        contrib = contrib.reshape(batch, *self.out_spatial, -1, self.channels)
-        padded_shape = tuple(
-            dim + l + r
-            for dim, l, r in zip(self.spatial_shape, self.pad_left, self.pad_right)
-        ) + (self.channels,)
-        xp = np.zeros((batch,) + padded_shape)
-        for t_idx, (_, sl) in enumerate(self._tap_slices()):
-            xp[(slice(None),) + sl] += contrib[..., t_idx, :]
-        crop = tuple(
-            slice(l, l + dim) for l, dim in zip(self.pad_left, self.spatial_shape)
-        )
-        signal = xp[(slice(None),) + crop]
+        flat = cb.reshape(-1, self.width)
+        xp = np.zeros((len(cb), *self._padded_shape))
+        contrib = np.empty((len(flat), self.channels))
+        tap_blocks = self._kernel_matrix.reshape(self.width, -1, self.channels)
+        for t_idx, sl in enumerate(self._tap_slices):
+            np.matmul(flat, tap_blocks[:, t_idx], out=contrib)
+            xp[sl] += contrib.reshape(len(cb), *self.out_spatial, self.channels)
+        signal = xp[self._crop]
         return signal if batched else signal[0]
 
     def apply(self, code):

@@ -5,7 +5,9 @@ pursuit is :func:`cscbench.pursuit.proximal_gradient` on the matrix-free
 dictionaries over the whole batch, and the kernel gradient is a correlation
 of residual windows with the codes (``ConvDictionary.tap_correlation``), so
 no dictionary is materialized; the per-sample solvers in
-:mod:`cscbench.pursuit` stay the reference implementation.
+:mod:`cscbench.pursuit` stay the reference implementation. Training pursuits
+step by the paper's 1/(2 lambda_bar) = 1/``lipschitz_bound``; the logging probe,
+no model layer, runs FISTA at 1/lambda_bar, as lambda_bar >= lambda_max(D.T D).
 """
 
 from __future__ import annotations
@@ -60,11 +62,13 @@ class LearnConfig:
     seed: int = 0
     batch_size: int = 128
     probe_size: int = 64
-    probe_iterations: int = 80  # accelerated pursuit depth for logging probes
+    # probe FISTA depths at step 1/lambda_bar; FISTA's worst-case gap
+    # 2L||x*||^2/(k+1)^2 is no larger than at 80 and 400 steps of 1/(2 lambda_bar).
+    probe_iterations: int = 57
     # deeper pursuit for the first (cheap) probe layer: the logged objective
     # comparison needs near-optimal codes, the chain layers only need
     # reconstruction-grade ones
-    objective_iterations: int = 400
+    objective_iterations: int = 283
 
     def __post_init__(self):
         if min(self.probe_iterations, self.objective_iterations) < 1:
@@ -100,10 +104,12 @@ class ExperimentRecord:
     wall_ms: float
 
 
-def _pursue(dictionary, signals, beta, iterations, momentum):
+def _pursue(dictionary, signals, beta, iterations, momentum, lipschitz=None):
     """Nonnegative ISTA (FISTA with ``momentum``) from zero over a batch
-    of flat signals (B, rows), stepping by the certified bound."""
-    lipschitz = lipschitz_bound(dictionary)
+    of flat signals (B, rows), stepping by 1 / ``lipschitz``, by default the
+    layers' certified ``lipschitz_bound``."""
+    if lipschitz is None:
+        lipschitz = lipschitz_bound(dictionary)
     iterates = proximal_gradient(
         dictionary, signals, beta / lipschitz, 1.0 / lipschitz, momentum, nonneg=True
     )
@@ -181,13 +187,14 @@ def learn_dictionaries(model, dataset, config):
 
         # probe: pursue the whole chain on held-out signals, reconstruct
         # back down through every layer, and count the signal dimensions
-        # whose reconstruction error exceeds 2 beta_1
+        # whose reconstruction error exceeds 2 beta_1; FISTA at 1/lambda_bar
         dictionaries = [_layer_dictionary(layer, msd) for layer in model.layers]
         probe_codes = []
         x = probe
         for i, layer in enumerate(model.layers):
             iterations = config.probe_iterations if i else config.objective_iterations
-            codes = _pursue(dictionaries[i], x, betas[i], iterations, True)
+            lambda_bar = lipschitz_bound(dictionaries[i]) / 2.0
+            codes = _pursue(dictionaries[i], x, betas[i], iterations, True, lambda_bar)
             probe_codes.append(codes)
             x = _next_input(codes, layer, msd)
         recon = probe_codes[-1]
@@ -341,11 +348,19 @@ def build_pursuit_model(
     layers see much smaller inputs than the raw signals, so a single absolute
     beta would make their Lasso problems degenerate (zero code optimal).
     """
+    return _calibrated_pursuit_model(
+        dim, width, depth, kernel_size, seed, beta, calibration
+    )[0]
+
+
+def _calibrated_pursuit_model(dim, width, depth, kernel_size, seed, beta, calibration):
+    """``build_pursuit_model`` and the calibration batch's per-layer inputs,
+    as ``reference_layer_inputs`` gives them (None without calibration)."""
     layers = []
     channels = 1
     inputs = None
     if calibration is not None:
-        inputs = np.asarray(calibration, dtype=float)[..., None]
+        inputs = [np.asarray(calibration, dtype=float)[..., None]]
     for i in range(depth):
         bank = random_dictionary(
             (dim, channels), (kernel_size,), width,
@@ -353,15 +368,15 @@ def build_pursuit_model(
         )
         layer_beta = beta
         if inputs is not None:
-            layer_beta = _fraction_beta(bank, inputs.reshape(len(inputs), -1), beta)
+            layer_beta = _fraction_beta(bank, inputs[-1].reshape(len(inputs[-1]), -1), beta)
         layer = LayerParams.pursuit_mode(bank, layer_beta, msd=True)
         layers.append(layer)
-        if inputs is not None:
-            (inputs,) = _in_blocks(
-                lambda x: (msdcsc_layer_forward(layer, x, 0, "ista"),), inputs
+        if inputs is not None and i + 1 < depth:  # the last output feeds nothing
+            inputs += _in_blocks(
+                lambda x: (msdcsc_layer_forward(layer, x, 0, "ista"),), inputs[-1]
             )
         channels += width
-    return MSDCSCModel(layers)
+    return MSDCSCModel(layers), inputs
 
 
 def reference_layer_inputs(model, signals):
@@ -374,10 +389,9 @@ def reference_layer_inputs(model, signals):
     """
 
     def block(x):
-        inputs = []
-        for layer in model.layers:
-            inputs.append(x)
-            x = msdcsc_layer_forward(layer, x, 0, "ista")
+        inputs = [x]
+        for layer in model.layers[:-1]:  # the last output feeds nothing
+            inputs.append(msdcsc_layer_forward(layer, inputs[-1], 0, "ista"))
         return inputs
 
     return _in_blocks(block, np.asarray(signals, dtype=float)[..., None])
@@ -433,16 +447,10 @@ def unfold_sweep(
         n_classes=20, dim=50, train_per_class=10, test_total=100, seed=seed
     )
     dataset = generate_dataset(dataset_spec)
-    model = build_pursuit_model(
-        dataset_spec.dim,
-        width=width,
-        depth=depth,
-        kernel_size=kernel_size,
-        seed=seed,
-        beta=beta,
-        calibration=dataset.train_signals,
+    # the calibration pass is the training signals' reference pass
+    model, train_inputs = _calibrated_pursuit_model(
+        dataset_spec.dim, width, depth, kernel_size, seed, beta, dataset.train_signals
     )
-    train_inputs = reference_layer_inputs(model, dataset.train_signals)
     test_inputs = reference_layer_inputs(model, dataset.test_signals)
     rows = []
     details = {}

@@ -5,10 +5,13 @@
 :mod:`cscbench.models` and the batched pursuits of :mod:`cscbench.learning`
 all run it. Steps are 1/L with L = 2 * lambda_max(D.T D), the constant
 stated alongside the update rule (the tight one is lambda_max(D.T D));
-``lipschitz_override`` sets another. ``lipschitz_bound`` gives every
-solver's L: certified, never below the true constant, as the ISTA/FISTA
-rates need (Beck & Teboulle 2009); a closed form from the taps' DFT for
-conv dictionaries, +2 for [I | D], exact for dense ones.
+``lipschitz_override`` sets another. Only the logging probe of
+:mod:`cscbench.learning`, a measurement rather than a model layer, takes
+twice that step: FISTA at 1/lambda_bar, lambda_bar = ``lipschitz_bound / 2``.
+``lipschitz_bound`` gives every solver's L: certified, never below the
+true constant, as the ISTA/FISTA rates need (Beck & Teboulle 2009); a
+closed form from the taps' DFT for conv dictionaries, +2 for [I | D],
+exact for dense ones.
 ``lipschitz_constant`` is the exact value from the assembled Gram matrix,
 an oracle for verification-scale dictionaries only.
 """

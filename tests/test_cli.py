@@ -133,6 +133,18 @@ def test_pursue_divergence_exits_two_without_traceback(tmp_path, capsys):
         ({"solver": "fistaa"}, "error: unknown solver 'fistaa'; expected 'ista' or 'fista'\n"),
         ({"beta": float("nan")}, "error: beta must be finite\n"),
         ({"tol": float("nan")}, "error: tol must be finite and positive\n"),
+        (
+            {"nonneg": "false"},
+            "error: pursue config key 'nonneg' must be true or false, got 'false'\n",
+        ),
+        (
+            {"lipschitz_override": "x"},
+            "error: pursue config key 'lipschitz_override' must be a finite number, got 'x'\n",
+        ),
+        (
+            {"lipschitz_override": True},
+            "error: pursue config key 'lipschitz_override' must be a finite number, got True\n",
+        ),
     ],
 )
 def test_pursue_bad_config_value_exits_two(tmp_path, capsys, override, message):

@@ -389,6 +389,16 @@ def test_tap_correlation_at_fig4_layer_shapes(rng, input_shape, dilation):
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
+@pytest.mark.parametrize("input_shape, dilation", [((100, 1), 1), ((100, 17), 2)])
+def test_apply_and_adjoint_match_dense_at_fig4_layer_shapes(rng, input_shape, dilation):
+    conv = random_dictionary(input_shape, (3,), 16, dilation=dilation, padding=SAME)
+    mat = to_matrix(conv)
+    codes = rng.standard_normal((128, conv.cols))
+    signals = rng.standard_normal((128, conv.rows))
+    assert np.max(np.abs(conv.apply(codes) - codes @ mat.T)) <= 1e-12
+    assert np.max(np.abs(conv.apply_adjoint(signals) - signals @ mat)) <= 1e-12
+
+
 def test_project_to_kernel_grad_msd_ignores_identity_block(rng):
     conv = small_bank(padding=SAME)
     msd = MSDDictionary(conv)

@@ -16,6 +16,7 @@ from cscbench.learning import (
     LearnConfig,
     SWEEP_HEADER,
     _fraction_beta,
+    _layer_dictionary,
     _next_input,
     _pursue,
     build_fig_models,
@@ -28,7 +29,13 @@ from cscbench.learning import (
     write_sweep_csv,
 )
 from cscbench.models import LayerParams, msdcsc_layer_forward, stack_to_code
-from cscbench.pursuit import LassoProblem, PursuitConfig, ista, lipschitz_bound
+from cscbench.pursuit import (
+    LassoProblem,
+    PursuitConfig,
+    ista,
+    lasso_objective,
+    lipschitz_bound,
+)
 
 
 def tiny_spec(**overrides):
@@ -156,6 +163,28 @@ def test_learn_dictionaries_runs_matrix_free(monkeypatch):
         assert len(records) == 2
 
 
+@pytest.mark.parametrize("msd", [False, True])
+def test_probe_objective_at_fig4_defaults(msd):
+    spec = SyntheticDatasetSpec()
+    dataset = generate_dataset(spec)
+    model = build_fig_models(spec.dim, seed=spec.seed)[msd]
+    config = LearnConfig(outer_iterations=1, beta_schedule=INIT_FRACTION)
+    _, (record,) = learn_dictionaries(model, dataset, config)
+    # the probe pursues the trained layer 1 on the held-out probe signals
+    first = _layer_dictionary(model.layers[0], msd)
+    problem = LassoProblem(first, dataset.test_signals[: config.probe_size], record.beta)
+    lambda_bar = lipschitz_bound(first) / 2.0
+
+    def objective(iterations, lipschitz):
+        codes = _pursue(first, problem.signal, record.beta, iterations, True, lipschitz)
+        return float(np.mean(lasso_objective(problem, codes)))
+
+    # no worse than the probe at the layers' step and its former depth
+    assert record.objective <= objective(400, 2.0 * lambda_bar)
+    reference = objective(3000, lambda_bar)
+    assert abs(record.objective - reference) <= 1.5e-5 * reference
+
+
 def test_learn_dictionaries_rejects_unknown_model():
     dataset = generate_dataset(tiny_spec())
     with pytest.raises(ShapeError):
@@ -241,6 +270,40 @@ def test_unfold_sweep_rows_and_ordering():
     assert rows[1]["mean_objective"] <= rows[0]["mean_objective"]
     assert set(details) == {0, 1}
     assert details[0].shape == (27, 2)  # train + test samples, one column per layer
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("solver", ["ista", "fista"])
+def test_unfold_sweep_reuses_calibration_pass(tmp_path, monkeypatch, solver, seed):
+    rows, _ = unfold_sweep(solver=solver, seed=seed)
+    write_sweep_csv(rows, tmp_path / "reuse.csv")
+    calibrated = learning._calibrated_pursuit_model
+
+    def without_reuse(*args):
+        model = calibrated(*args)[0]
+        return model, reference_layer_inputs(model, args[-1])
+
+    monkeypatch.setattr(learning, "_calibrated_pursuit_model", without_reuse)
+    rows, _ = unfold_sweep(solver=solver, seed=seed)
+    write_sweep_csv(rows, tmp_path / "recomputed.csv")
+    assert (tmp_path / "reuse.csv").read_bytes() == (tmp_path / "recomputed.csv").read_bytes()
+
+
+def test_unfold_sweep_layer_forward_count(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return msdcsc_layer_forward(*args)
+
+    monkeypatch.setattr(learning, "msdcsc_layer_forward", counted)
+    unfold_sweep(unfoldings=(0, 1, 2), depth=2, seed=0)
+    # 200 training and 100 test signals in blocks of 25: 12 blocks. Each
+    # block passes layer 1 once for the reference inputs (the calibration
+    # pass on training blocks); then per unfolding and layer one reference
+    # forward, plus a chained one at unfolding > 0.
+    blocks = (200 + 100) // learning._BLOCK
+    assert len(calls) == blocks * 1 + blocks * 2 * (1 + 2 + 2)
 
 
 # -- CSV writers -------------------------------------------------------------------------
