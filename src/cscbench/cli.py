@@ -93,6 +93,18 @@ def _finite_number(value):
         return False
 
 
+def _pursue_number(doc, key, default, whole=False):
+    """``doc[key]`` checked as ``_finite_number`` does, except that a float
+    NaN or infinity passes on to the solver's own range checks; ``whole``
+    asks for a finite whole number, returned as an int."""
+    value = doc.get(key, default)
+    if not (_finite_number(value) or isinstance(value, float) and not whole):
+        raise ConfigError(f"pursue config key {key!r} must be a finite number, got {value!r}")
+    if whole and value != int(value):
+        raise ConfigError(f"pursue config key {key!r} must be a whole number, got {value!r}")
+    return int(value) if whole else float(value)
+
+
 def _cmd_pursue(args):
     with open(args.config) as fh:
         doc = json.load(fh)
@@ -104,7 +116,7 @@ def _cmd_pursue(args):
         signal = rng.standard_normal(rows)
     else:
         signal = np.asarray(signal_spec, dtype=float)
-    problem = LassoProblem(dictionary, signal, float(doc.get("beta", 0.1)))
+    problem = LassoProblem(dictionary, signal, _pursue_number(doc, "beta", 0.1))
     nonneg = doc.get("nonneg", False)
     if not isinstance(nonneg, bool):
         raise ConfigError(f"pursue config key 'nonneg' must be true or false, got {nonneg!r}")
@@ -114,8 +126,8 @@ def _cmd_pursue(args):
             f"pursue config key 'lipschitz_override' must be a finite number, got {override!r}"
         )
     config = PursuitConfig(
-        iterations=int(doc.get("iterations", 100)),
-        tol=float(doc.get("tol", 1e-12)),
+        iterations=_pursue_number(doc, "iterations", 100, whole=True),
+        tol=_pursue_number(doc, "tol", 1e-12),
         nonneg=nonneg,
         lipschitz_override=override,
     )
@@ -257,7 +269,6 @@ def main(argv=None):
         OSError,
         KeyError,
         ValueError,
-        json.JSONDecodeError,
         ConvergenceError,
         DivergenceError,
     ) as exc:

@@ -434,33 +434,50 @@ def _check_dense_size(rows, cols):
         )
 
 
-def _conv_to_matrix(conv):
-    _check_dense_size(conv.rows, conv.cols)
-    mat = np.zeros((conv.rows, conv.cols))
-    s = conv.dilation
-    pad_left = conv.pad_left
-    spatial = conv.spatial_shape
-    taps = [k.taps for k in conv.kernels]
-    for p_idx, p in enumerate(itertools.product(*(range(o) for o in conv.out_spatial))):
-        for t in itertools.product(*(range(k) for k in conv.kernel_spatial)):
-            coord = tuple(p[d] + t[d] * s - pad_left[d] for d in range(len(spatial)))
-            if any(c < 0 or c >= spatial[d] for d, c in enumerate(coord)):
-                continue  # zero padding: no matrix entry
-            for c in range(conv.channels):
-                row = int(np.ravel_multi_index(coord + (c,), conv.input_shape))
-                for j in range(conv.width):
-                    mat[row, p_idx * conv.width + j] += taps[j][t + (c,)]
-    return mat
+def _tap_entries(conv):
+    """Per tap t, D's entries that hold t, as a broadcast index into the
+    (*spatial, c, *out, width) view of the conv block: along each axis the
+    positions p whose input p + t * s - pad_left lies inside the signal.
+
+    The map is worked out here from the geometry alone, not from the
+    operators' tap slices or windows, so that ``to_matrix`` checks them.
+    """
+    rank = len(conv.spatial_shape)
+    for t in itertools.product(*(range(k) for k in conv.kernel_spatial)):
+        inputs, positions = [], []
+        for d, (tap, dim, out, pad) in enumerate(
+            zip(t, conv.spatial_shape, conv.out_spatial, conv.pad_left)
+        ):
+            shift = tap * conv.dilation - pad
+            p = np.arange(max(0, -shift), min(out, dim - shift))  # empty if none
+            p = p.reshape([-1 if e == d else 1 for e in range(rank)])
+            inputs.append(p + shift)
+            positions.append(p)
+        yield t, (*inputs, slice(None), *positions, slice(None))
+
+
+def _conv_block(mat, conv):
+    """The conv block of a dense D (its last ``conv.cols`` columns) as a
+    (*spatial, c, *out, width) array; a view when ``mat`` is C-ordered."""
+    return mat[:, mat.shape[1] - conv.cols :].reshape(
+        *conv.input_shape, *conv.out_spatial, conv.width
+    )
 
 
 def to_matrix(dictionary):
-    """Dense D with apply(dictionary, code) == D @ code."""
-    if isinstance(dictionary, MSDDictionary):
-        conv_block = _conv_to_matrix(dictionary.conv)
-        return np.hstack([np.eye(dictionary.rows), conv_block])
-    if isinstance(dictionary, ConvDictionary):
-        return _conv_to_matrix(dictionary)
-    raise ShapeError(f"cannot materialize {type(dictionary).__name__}")
+    """Dense D with apply(dictionary, code) == D @ code; a dense one as given."""
+    if isinstance(dictionary, np.ndarray):
+        return np.asarray(dictionary, dtype=float)
+    if not isinstance(dictionary, (ConvDictionary, MSDDictionary)):
+        raise ShapeError(f"cannot materialize {type(dictionary).__name__}")
+    _check_dense_size(*dictionary.shape)
+    conv = getattr(dictionary, "conv", dictionary)
+    mat = np.zeros(dictionary.shape)
+    np.fill_diagonal(mat[:, : mat.shape[1] - conv.cols], 1.0)  # [I | D]'s I; no-op for D
+    block, taps = _conv_block(mat, conv), conv.kernel_array()
+    for t, entries in _tap_entries(conv):
+        block[entries] = taps[(slice(None), *t)].T  # (c, width) at every position
+    return mat
 
 
 def apply(dictionary, code):
@@ -477,32 +494,9 @@ def apply_adjoint(dictionary, signal):
     return dictionary.apply_adjoint(signal)
 
 
-def _assemble(dictionary):
-    """D as an array: a dense one as given, an operator by one batched
-    ``apply_adjoint`` of the identity (row i is D.T e_i), size-guarded.
-    When that batch (rows x identity, padded signal, windows and code)
-    would exceed MAX_DENSE_ENTRIES, D comes from ``to_matrix``'s entry
-    loop, which allocates D alone and is the faster of the two there.
-    """
-    if isinstance(dictionary, np.ndarray):
-        return np.asarray(dictionary, dtype=float)
-    if not isinstance(dictionary, (ConvDictionary, MSDDictionary)):
-        raise ShapeError(f"cannot materialize {type(dictionary).__name__}")
-    (rows, cols), conv = dictionary.shape, getattr(dictionary, "conv", dictionary)
-    _check_dense_size(rows, cols)
-    conv_cols = cols - rows if conv is not dictionary else cols  # conv.cols, not recomputed
-    # padded signal: at most spatial + extent points per axis
-    padded = math.prod(map(sum, zip(conv.spatial_shape, conv.dilated_extent)))
-    windows = conv_cols // conv.width * math.prod(conv.kernel_spatial)
-    per_row = rows + cols + conv_cols + (padded + windows) * conv.channels
-    if rows * per_row > MAX_DENSE_ENTRIES:
-        return to_matrix(dictionary)
-    return apply_adjoint(dictionary, np.eye(rows))
-
-
 def mutual_coherence(dictionary):
     """max_{i != j} |<d_i, d_j>| over unit-normalized columns."""
-    mat = _assemble(dictionary)
+    mat = to_matrix(dictionary)
     norms = np.linalg.norm(mat, axis=0)
     if np.any(norms == 0):
         raise DegenerateDictionaryError("dictionary has a zero column")
@@ -534,30 +528,16 @@ def project_to_kernel_grad(dense_grad, template):
     template the identity-block columns contribute nothing.
     """
     dense_grad = np.asarray(dense_grad, dtype=float)
-    if isinstance(template, MSDDictionary):
-        if dense_grad.shape != template.shape:
-            raise ShapeError(
-                f"expected gradient of shape {template.shape}, got {dense_grad.shape}"
-            )
-        return project_to_kernel_grad(dense_grad[:, template.rows :], template.conv)
-    conv = template
-    if dense_grad.shape != conv.shape:
+    if dense_grad.shape != template.shape:
         raise ShapeError(
-            f"expected gradient of shape {conv.shape}, got {dense_grad.shape}"
+            f"expected gradient of shape {template.shape}, got {dense_grad.shape}"
         )
-    grads = np.zeros((conv.width,) + conv.kernel_spatial + (conv.channels,))
-    s = conv.dilation
-    pad_left = conv.pad_left
-    spatial = conv.spatial_shape
-    for p_idx, p in enumerate(itertools.product(*(range(o) for o in conv.out_spatial))):
-        for t in itertools.product(*(range(k) for k in conv.kernel_spatial)):
-            coord = tuple(p[d] + t[d] * s - pad_left[d] for d in range(len(spatial)))
-            if any(c < 0 or c >= spatial[d] for d, c in enumerate(coord)):
-                continue
-            for c in range(conv.channels):
-                row = int(np.ravel_multi_index(coord + (c,), conv.input_shape))
-                for j in range(conv.width):
-                    grads[(j,) + t + (c,)] += dense_grad[row, p_idx * conv.width + j]
+    conv = getattr(template, "conv", template)
+    block = _conv_block(dense_grad, conv)
+    grads = np.zeros((conv.width, *conv.kernel_spatial, conv.channels))
+    positions = tuple(range(len(conv.spatial_shape)))
+    for t, entries in _tap_entries(conv):
+        grads[(slice(None), *t)] = block[entries].sum(axis=positions).T
     return grads
 
 

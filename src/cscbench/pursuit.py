@@ -12,8 +12,9 @@ twice that step: FISTA at 1/lambda_bar, lambda_bar = ``lipschitz_bound / 2``.
 true constant, as the ISTA/FISTA rates need (Beck & Teboulle 2009); a
 closed form from the taps' DFT for conv dictionaries, +2 for [I | D],
 exact for dense ones.
-``lipschitz_constant`` is the exact value from the assembled Gram matrix,
-an oracle for verification-scale dictionaries only.
+``lipschitz_constant`` is the exact value from the Gram matrix of the
+dense D that ``dictionary.to_matrix`` builds, an oracle for
+verification-scale dictionaries only.
 """
 
 from __future__ import annotations
@@ -99,10 +100,10 @@ def gram_operator(dictionary):
 def lipschitz_constant(dictionary):
     """Exact 2 * lambda_max(D.T D), from the smaller of D D.T and D.T D.
 
-    D is assembled by one batched ``apply_adjoint`` of the identity; the
-    LAPACK eigensolver's size limit keeps this to verification scale.
+    D comes from ``dictionary.to_matrix`` under its size guard; the LAPACK
+    eigensolver's size limit keeps this to verification scale.
     """
-    mat = dct._assemble(dictionary)
+    mat = dct.to_matrix(dictionary)
     gram = mat @ mat.T if mat.shape[0] <= mat.shape[1] else mat.T @ mat
     return 2.0 * float(symmetric_eigs(gram)[-1])
 

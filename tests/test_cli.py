@@ -145,6 +145,17 @@ def test_pursue_divergence_exits_two_without_traceback(tmp_path, capsys):
             {"lipschitz_override": True},
             "error: pursue config key 'lipschitz_override' must be a finite number, got True\n",
         ),
+        pytest.param(
+            {"beta": 10**400},
+            f"error: pursue config key 'beta' must be a finite number, got {10**400}\n",
+            id="beta-int-beyond-float-range",
+        ),
+        ({"iterations": 5.5}, "error: pursue config key 'iterations' must be a whole number, got 5.5\n"),
+        (
+            {"iterations": True},
+            "error: pursue config key 'iterations' must be a finite number, got True\n",
+        ),
+        ({"beta": "0.5"}, "error: pursue config key 'beta' must be a finite number, got '0.5'\n"),
     ],
 )
 def test_pursue_bad_config_value_exits_two(tmp_path, capsys, override, message):

@@ -1,5 +1,6 @@
 """Convolutional dictionaries against a test-local naive convolution oracle."""
 
+import itertools
 import json
 import tracemalloc
 
@@ -37,26 +38,27 @@ from cscbench.errors import (
 from strategies import conv_dictionaries
 
 
-def naive_matrix_1d(kernels, length, channels, dilation, padding):
-    """Column-by-column dense matrix via an index-chasing loop (oracle)."""
-    k = kernels[0].shape[0]
-    ext = dilation * (k - 1) + 1
+def naive_matrix(kernels, input_shape, dilation, padding):
+    """Column-by-column dense matrix via an N-D index-chasing loop (oracle)."""
+    k_spatial, spatial = kernels[0].shape[:-1], input_shape[:-1]
+    extent = [dilation * (k - 1) + 1 for k in k_spatial]
     if padding == VALID:
-        out = length - ext + 1
-        pad_left = 0
+        out = [dim - ext + 1 for dim, ext in zip(spatial, extent)]
+        pad_left = [0] * len(spatial)
     else:
-        out = length
-        pad_left = (ext - 1) // 2
+        out = list(spatial)
+        pad_left = [(ext - 1) // 2 for ext in extent]
     width = len(kernels)
-    mat = np.zeros((length * channels, out * width))
-    for p in range(out):
+    mat = np.zeros((int(np.prod(input_shape)), int(np.prod(out)) * width))
+    for p_idx, p in enumerate(itertools.product(*map(range, out))):
         for j, taps in enumerate(kernels):
-            col = p * width + j
-            for t in range(k):
-                pos = p + t * dilation - pad_left
-                if 0 <= pos < length:
-                    for c in range(channels):
-                        mat[pos * channels + c, col] += taps[t, c]
+            col = p_idx * width + j
+            for t in itertools.product(*map(range, k_spatial)):
+                pos = [p[d] + t[d] * dilation - pad_left[d] for d in range(len(p))]
+                if all(0 <= q < dim for q, dim in zip(pos, spatial)):
+                    for c in range(input_shape[-1]):
+                        row = np.ravel_multi_index((*pos, c), input_shape)
+                        mat[row, col] += taps[(*t, c)]
     return mat
 
 
@@ -81,8 +83,32 @@ def test_to_matrix_matches_naive_oracle(rng, padding, dilation):
         conv = ConvDictionary(
             [ConvKernel(t, dilation) for t in taps], (length, channels), padding
         )
-        want = naive_matrix_1d(taps, length, channels, dilation, padding)
+        want = naive_matrix(taps, (length, channels), dilation, padding)
         assert np.allclose(to_matrix(conv), want, atol=1e-14)
+
+
+@given(conv_dictionaries(), st.booleans())
+def test_to_matrix_matches_nd_loop_oracle(conv, lift):
+    # 1-D and 2-D grids, both paddings, dilations 1-3, with and without [I | D]
+    want = naive_matrix(list(conv.kernel_array()), conv.input_shape, conv.dilation, conv.padding)
+    dictionary = conv
+    if lift and conv.padding == SAME:
+        dictionary = MSDDictionary(conv)
+        want = np.hstack([np.eye(conv.rows), want])
+    assert np.array_equal(to_matrix(dictionary), want)
+
+
+@given(conv_dictionaries(), st.booleans(), st.integers(0, 2**31 - 1))
+def test_project_to_kernel_grad_is_adjoint_of_to_matrix(conv, lift, seed):
+    # <G, D(K)> = <P(G), K>: D is linear in the taps K and P is its adjoint
+    dictionary = MSDDictionary(conv) if lift and conv.padding == SAME else conv
+    grad = np.random.default_rng(seed).standard_normal(dictionary.shape)
+    dense = to_matrix(dictionary)
+    identity_part = np.trace(grad[:, : dictionary.cols - conv.cols])
+    lhs = np.sum(grad * dense) - identity_part
+    rhs = np.sum(project_to_kernel_grad(grad, dictionary) * conv.kernel_array())
+    scale = np.sum(np.abs(grad * dense))
+    assert rhs == pytest.approx(lhs, rel=1e-12, abs=1e-12 * scale)
 
 
 def test_2x2_kernel_4x4_input_shapes():
@@ -188,9 +214,9 @@ def test_materialization_size_guard():
 @pytest.mark.parametrize(
     "input_len, kernel, width, lift",
     [
-        (400, 51, 1, False),  # D just under the guard; adjoint windows 8.2M entries
-        (100, 301, 1, True),  # one identity row's windows alone exceed the guard
-        (20, 3, 2, False),  # small enough for the batched adjoint
+        (400, 51, 1, False),  # D just under the guard, filled over 51 taps
+        (100, 301, 1, True),  # a kernel wider than the signal, under the [I | D] lift
+        (20, 3, 2, False),  # a small bank, plain and lifted
         (20, 3, 2, True),
     ],
 )
@@ -201,7 +227,7 @@ def test_assembly_memory_stays_within_size_guard(monkeypatch, input_len, kernel,
     dictionary = MSDDictionary(conv) if lift else conv
     tracemalloc.start()
     try:
-        mat = dictionary_module._assemble(dictionary)
+        mat = to_matrix(dictionary)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -212,7 +238,7 @@ def test_assembly_memory_stays_within_size_guard(monkeypatch, input_len, kernel,
 
 @given(conv_dictionaries(), st.booleans())
 def test_mutual_coherence_matches_dense_oracle(conv, lift):
-    # the batched-adjoint assembly gives to_matrix's D bit for bit
+    # an operator's coherence is that of its to_matrix D, bit for bit
     dictionary = MSDDictionary(conv) if lift and conv.padding == SAME else conv
     try:
         want = mutual_coherence(to_matrix(dictionary))
