@@ -180,7 +180,7 @@ def proposition1_check(layer, x):
             f"input of shape {x.shape} does not match dictionary input "
             f"{conv.input_shape}"
         )
-    msd = layer.msd_dictionary()
+    msd = layer.dictionary(msd=True)
     n_pos = conv.n_positions
     threshold = np.concatenate(
         [np.zeros(msd.rows), np.tile(-layer.bias, n_pos)]

@@ -70,19 +70,9 @@ def _cmd_coherence(args):
     return 0
 
 
-def _dictionary_from_config(doc):
-    if "random" in doc:
-        spec = doc["random"]
-        return random_dictionary(
-            tuple(spec["input_shape"]),
-            tuple(spec["kernel_size"]) if isinstance(spec["kernel_size"], list)
-            else (int(spec["kernel_size"]),),
-            int(spec["width"]),
-            dilation=int(spec.get("dilation", 1)),
-            padding=spec.get("padding", "valid"),
-            seed=int(spec.get("seed", 0)),
-        )
-    return dictionary_from_json(doc)
+PURSUE_KEYS = ("dictionary", "signal", "beta", "iterations", "tol", "nonneg",
+               "lipschitz_override", "solver")
+RANDOM_KEYS = ("input_shape", "kernel_size", "width", "dilation", "padding", "seed")
 
 
 def _finite_number(value):
@@ -93,11 +83,10 @@ def _finite_number(value):
         return False
 
 
-def _pursue_number(doc, key, default, whole=False):
-    """``doc[key]`` checked as ``_finite_number`` does, except that a float
+def _pursue_number(value, key, whole=False):
+    """``value`` checked as ``_finite_number`` does, except that a float
     NaN or infinity passes on to the solver's own range checks; ``whole``
     asks for a finite whole number, returned as an int."""
-    value = doc.get(key, default)
     if not (_finite_number(value) or isinstance(value, float) and not whole):
         raise ConfigError(f"pursue config key {key!r} must be a finite number, got {value!r}")
     if whole and value != int(value):
@@ -105,18 +94,53 @@ def _pursue_number(doc, key, default, whole=False):
     return int(value) if whole else float(value)
 
 
+def _pursue_shape(value, key):
+    """A nonempty JSON list of whole numbers as a tuple of ints."""
+    if not (isinstance(value, list) and value):
+        raise ConfigError(f"pursue config key {key!r} must be a nonempty list, got {value!r}")
+    return tuple(_pursue_number(v, f"{key}[{i}]", whole=True) for i, v in enumerate(value))
+
+
+def _dictionary_from_config(doc):
+    if not isinstance(doc, dict):
+        raise ConfigError("pursue config key 'dictionary' must be an object")
+    if "random" not in doc:
+        try:
+            return dictionary_from_json(doc)
+        except TypeError as exc:  # a serialized dictionary with wrongly typed values
+            raise ConfigError(f"pursue config key 'dictionary' is malformed: {exc}") from exc
+    spec = doc["random"]
+    label = "dictionary.random."
+    _check_keys(spec, RANDOM_KEYS, label, "pursue")
+    kernel_size = spec["kernel_size"]
+    return random_dictionary(
+        _pursue_shape(spec["input_shape"], label + "input_shape"),
+        _pursue_shape(kernel_size, label + "kernel_size") if isinstance(kernel_size, list)
+        else (_pursue_number(kernel_size, label + "kernel_size", whole=True),),
+        _pursue_number(spec["width"], label + "width", whole=True),
+        dilation=_pursue_number(spec.get("dilation", 1), label + "dilation", whole=True),
+        padding=spec.get("padding", "valid"),
+        seed=_pursue_number(spec.get("seed", 0), label + "seed", whole=True),
+    )
+
+
 def _cmd_pursue(args):
     with open(args.config) as fh:
         doc = json.load(fh)
+    _check_keys(doc, PURSUE_KEYS, "", "pursue")
     dictionary = _dictionary_from_config(doc["dictionary"])
     signal_spec = doc["signal"]
     rows = dictionary.shape[0]
     if isinstance(signal_spec, dict):
-        rng = np.random.default_rng(int(signal_spec.get("seed", 0)))
-        signal = rng.standard_normal(rows)
+        _check_keys(signal_spec, ("seed",), "signal.", "pursue")
+        seed = _pursue_number(signal_spec.get("seed", 0), "signal.seed", whole=True)
+        signal = np.random.default_rng(seed).standard_normal(rows)
     else:
-        signal = np.asarray(signal_spec, dtype=float)
-    problem = LassoProblem(dictionary, signal, _pursue_number(doc, "beta", 0.1))
+        try:  # a ValueError (a string, a ragged list) passes on to main
+            signal = np.asarray(signal_spec, dtype=float)
+        except (TypeError, OverflowError) as exc:
+            raise ConfigError(f"pursue config key 'signal' is malformed: {exc}") from exc
+    problem = LassoProblem(dictionary, signal, _pursue_number(doc.get("beta", 0.1), "beta"))
     nonneg = doc.get("nonneg", False)
     if not isinstance(nonneg, bool):
         raise ConfigError(f"pursue config key 'nonneg' must be true or false, got {nonneg!r}")
@@ -126,17 +150,17 @@ def _cmd_pursue(args):
             f"pursue config key 'lipschitz_override' must be a finite number, got {override!r}"
         )
     config = PursuitConfig(
-        iterations=_pursue_number(doc, "iterations", 100, whole=True),
-        tol=_pursue_number(doc, "tol", 1e-12),
+        iterations=_pursue_number(doc.get("iterations", 100), "iterations", whole=True),
+        tol=_pursue_number(doc.get("tol", 1e-12), "tol"),
         nonneg=nonneg,
         lipschitz_override=override,
     )
-    solver = {"ista": ista, "fista": fista}.get(doc.get("solver", "ista"))
-    if solver is None:
-        raise ConfigError(f"unknown solver {doc['solver']!r}; expected 'ista' or 'fista'")
+    solver = doc.get("solver", "ista")
+    if solver not in ("ista", "fista"):
+        raise ConfigError(f"unknown solver {solver!r}; expected 'ista' or 'fista'")
     # the solver checks its iterates and raises DivergenceError itself
     with np.errstate(over="ignore", invalid="ignore"):
-        result = solver(problem, config)
+        result = (ista if solver == "ista" else fista)(problem, config)
     export_trace_csv(result, args.out)
     print(
         json.dumps(
@@ -151,12 +175,12 @@ def _cmd_pursue(args):
     return 0
 
 
-def _check_keys(section, allowed, prefix):
+def _check_keys(section, allowed, prefix, command):
     if not isinstance(section, dict):
-        raise ConfigError(f"fig4 config {prefix or 'document'} must be an object")
+        raise ConfigError(f"{command} config {prefix or 'document'} must be an object")
     for key in section:
         if key not in allowed:
-            raise ConfigError(f"unknown fig4 config key {prefix + key!r}")
+            raise ConfigError(f"unknown {command} config key {prefix + key!r}")
 
 
 def _config_section(doc, name, cls=None, **defaults):
@@ -166,7 +190,7 @@ def _config_section(doc, name, cls=None, **defaults):
     if cls is not None:
         defaults.update((f.name, f.default) for f in fields(cls))
     section = doc.get(name, {})
-    _check_keys(section, defaults, name + ".")
+    _check_keys(section, defaults, name + ".", "fig4")
     checked = {}
     for key, value in section.items():
         label = f"{name}.{key}"
@@ -185,7 +209,7 @@ def _cmd_fig4(args):
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
-    _check_keys(doc, ("dataset", "learn", "model"), "")
+    _check_keys(doc, ("dataset", "learn", "model"), "", "fig4")
     dataset_doc = _config_section(doc, "dataset", SyntheticDatasetSpec)
     iterations = 20  # pursuit depth unless learn.pursuit_iterations sets it
     learn_doc = _config_section(doc, "learn", LearnConfig, pursuit_iterations=iterations)

@@ -19,20 +19,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import SyntheticDatasetSpec, classify, generate_dataset
-from .dictionary import (
-    SAME,
-    ConvDictionary,
-    ConvKernel,
-    MSDDictionary,
-    apply,
-    random_dictionary,
-)
+from .dictionary import ConvDictionary, ConvKernel, apply
 from .errors import DivergenceError, ShapeError
 from .models import (
     LayerParams,
     MLCSCModel,
     MSDCSCModel,
     code_to_stack,
+    model_from_config,
     msdcsc_layer_forward,
     stack_to_code,
 )
@@ -116,10 +110,6 @@ def _pursue(dictionary, signals, beta, iterations, momentum, lipschitz=None):
     return last_iterate(iterates, iterations)
 
 
-def _layer_dictionary(layer, msd):
-    return MSDDictionary(layer.kernel_bank) if msd else layer.kernel_bank
-
-
 def _next_input(codes, layer, msd):
     """Batch codes (B, cols) as the next layer's flat signals (B, rows')."""
     if not msd:
@@ -171,7 +161,7 @@ def learn_dictionaries(model, dataset, config):
         batch_idx = rng.choice(train.shape[0], size=min(config.batch_size, train.shape[0]), replace=False)
         signals = train[batch_idx]  # (B, dim)
         for i, layer in enumerate(model.layers):
-            dictionary = _layer_dictionary(layer, msd)
+            dictionary = layer.dictionary(msd)
             bank = layer.kernel_bank
             if betas[i] is None or config.beta_schedule == TRACE_FRACTION:
                 betas[i] = _fraction_beta(bank, signals, config.beta_value)
@@ -188,7 +178,7 @@ def learn_dictionaries(model, dataset, config):
         # probe: pursue the whole chain on held-out signals, reconstruct
         # back down through every layer, and count the signal dimensions
         # whose reconstruction error exceeds 2 beta_1; FISTA at 1/lambda_bar
-        dictionaries = [_layer_dictionary(layer, msd) for layer in model.layers]
+        dictionaries = [layer.dictionary(msd) for layer in model.layers]
         probe_codes = []
         x = probe
         for i, layer in enumerate(model.layers):
@@ -224,26 +214,11 @@ def learn_dictionaries(model, dataset, config):
 
 
 def build_fig_models(dim, width=16, depth=2, kernel_size=3, seed=0):
-    """Matched plain / dense model pair with identical layer-1 kernels."""
-    dilations = [1 + (i % 3) for i in range(depth)]
-    ml_layers = []
-    msd_layers = []
-    channels_ml = 1
-    channels_msd = 1
-    for i in range(depth):
-        bank_ml = random_dictionary(
-            (dim, channels_ml), (kernel_size,), width,
-            dilation=dilations[i], padding=SAME, seed=seed + i,
-        )
-        bank_msd = random_dictionary(
-            (dim, channels_msd), (kernel_size,), width,
-            dilation=dilations[i], padding=SAME, seed=seed + i,
-        )
-        ml_layers.append(LayerParams(bank_ml, bias=np.zeros(width)))
-        msd_layers.append(LayerParams(bank_msd, bias=np.zeros(width)))
-        channels_ml = width
-        channels_msd = channels_msd + width
-    return MLCSCModel(ml_layers), MSDCSCModel(msd_layers)
+    """Matched plain / dense model pair with identical layer-1 kernels, as
+    ``model_from_config`` seeds them over 1-channel length-``dim`` signals."""
+    doc = {"input_shape": [dim, 1], "depth": depth, "width": width,
+           "kernel_size": kernel_size, "seed": seed}
+    return model_from_config(dict(doc, model="mlcsc")), model_from_config(dict(doc, model="msdcsc"))
 
 
 def reconstruction_experiment(
@@ -356,27 +331,21 @@ def build_pursuit_model(
 def _calibrated_pursuit_model(dim, width, depth, kernel_size, seed, beta, calibration):
     """``build_pursuit_model`` and the calibration batch's per-layer inputs,
     as ``reference_layer_inputs`` gives them (None without calibration)."""
-    layers = []
-    channels = 1
+    model = model_from_config({"model": "msdcsc", "input_shape": [dim, 1], "depth": depth,
+                               "width": width, "kernel_size": kernel_size, "seed": seed})
     inputs = None
     if calibration is not None:
         inputs = [np.asarray(calibration, dtype=float)[..., None]]
-    for i in range(depth):
-        bank = random_dictionary(
-            (dim, channels), (kernel_size,), width,
-            dilation=1 + (i % 3), padding=SAME, seed=seed + i,
-        )
-        layer_beta = beta
+    for i, layer in enumerate(model.layers):
+        bank, layer_beta = layer.kernel_bank, beta
         if inputs is not None:
             layer_beta = _fraction_beta(bank, inputs[-1].reshape(len(inputs[-1]), -1), beta)
-        layer = LayerParams.pursuit_mode(bank, layer_beta, msd=True)
-        layers.append(layer)
+        layer = model.layers[i] = LayerParams.pursuit_mode(bank, layer_beta, msd=True)
         if inputs is not None and i + 1 < depth:  # the last output feeds nothing
             inputs += _in_blocks(
                 lambda x: (msdcsc_layer_forward(layer, x, 0, "ista"),), inputs[-1]
             )
-        channels += width
-    return MSDCSCModel(layers), inputs
+    return model, inputs
 
 
 def reference_layer_inputs(model, signals):
@@ -417,7 +386,7 @@ def unfold_objectives(model, signals, unfolding, solver, layer_inputs=None):
             out_ref = msdcsc_layer_forward(layer, ref, unfolding, solver)
             beta = -layer.bias[0] * layer.lipschitz(msd=True)
             problem = LassoProblem(
-                layer.msd_dictionary(), ref.reshape(len(ref), -1), beta
+                layer.dictionary(msd=True), ref.reshape(len(ref), -1), beta
             )
             objectives.append(
                 lasso_objective(problem, stack_to_code(out_ref, layer.kernel_bank))

@@ -24,8 +24,7 @@ from .dictionary import (
     MSDDictionary,
     random_dictionary,
 )
-from .errors import ShapeError
-from .numeric import relu, soft_threshold
+from .errors import DivergenceError, ShapeError
 
 SOFT = "soft"
 NONNEG = "nonneg"
@@ -82,12 +81,12 @@ class LayerParams:
         if self.scale is not None and self.scale <= 0:
             raise ShapeError("scale must be positive")
 
-    def msd_dictionary(self):
-        return MSDDictionary(self.kernel_bank)
+    def dictionary(self, msd=False):
+        """The layer's dictionary: F, or [I | F] for a dense layer."""
+        return MSDDictionary(self.kernel_bank) if msd else self.kernel_bank
 
     def lipschitz(self, msd=False):
-        operator = self.msd_dictionary() if msd else self.kernel_bank
-        return pursuit.lipschitz_bound(operator)
+        return pursuit.lipschitz_bound(self.dictionary(msd))
 
     def effective_scale(self, msd=False):
         if self.scale is not None:
@@ -105,23 +104,36 @@ class LayerParams:
         return layer
 
 
-def _activate(pre, bias, operator):
-    if operator == NONNEG:
-        return relu(pre + bias)
-    if operator == SOFT:
-        return soft_threshold(pre, -np.asarray(bias, dtype=float))
-    raise ShapeError(f"unknown thresholding operator {operator!r}")
+def _layer_step(layer, x, msd=False, steps=1, momentum=False, nonneg=True, init=None):
+    """Every forward layer: ``steps`` proximal-gradient steps on the signal
+    ``x`` over ``layer.dictionary(msd)`` at step c = ``effective_scale``,
+    with thresholds -bias per kernel (-passthrough_bias on a dense layer's
+    identity channels), from the code array ``init`` or from zero.
 
-
-def _plain_layer_step(layer, x, operator):
+    ``x`` is (*spatial, c); only a dense layer also takes a batch
+    (B, *spatial, c). Returns the code (*out, width), or for a dense layer
+    the stacked (..., *spatial, c + w).
+    """
+    x = np.asarray(x, dtype=float)
     conv = layer.kernel_bank
-    if x.shape != conv.input_shape:
+    lead = x.shape[: x.ndim - len(conv.input_shape)]
+    if x.shape[len(lead) :] != conv.input_shape or len(lead) > msd:
         raise ShapeError(
             f"layer input of shape {x.shape} does not match dictionary input "
             f"{conv.input_shape}"
         )
-    pre = layer.effective_scale() * conv.adjoint_array(x)
-    return _activate(pre, layer.bias, operator)
+    if not np.all(np.isfinite(x)):
+        raise DivergenceError("layer input has non-finite values")
+    threshold = np.tile(-layer.bias, conv.n_positions)
+    if msd:
+        threshold = np.concatenate([np.full(conv.rows, -layer.passthrough_bias), threshold])
+    iterates = pursuit.proximal_gradient(
+        layer.dictionary(msd), x.reshape(*lead, conv.rows), threshold,
+        layer.effective_scale(msd), momentum, nonneg,
+        None if init is None else np.reshape(init, conv.cols),
+    )
+    code = pursuit.last_iterate(iterates, steps)
+    return code_to_stack(code, conv) if msd else code.reshape(*conv.out_spatial, conv.width)
 
 
 @dataclass
@@ -136,11 +148,11 @@ class MLCSCModel:
 
 
 def mlcsc_forward(model, x):
-    """Layered nonnegative thresholding; equals a conv -> ReLU pipeline."""
-    x = np.asarray(x, dtype=float)
+    """Layered nonnegative thresholding, one step from zero per layer;
+    equals a conv -> ReLU pipeline."""
     codes = []
     for layer in model.layers:
-        x = _plain_layer_step(layer, x, NONNEG)
+        x = _layer_step(layer, x)
         codes.append(x)
     return codes
 
@@ -160,38 +172,38 @@ class ResCSCModel:
     def __post_init__(self):
         if self.variant not in RESCSC_VARIANTS:
             raise ShapeError(f"unknown Res-CSC variant {self.variant!r}")
+        if self.operator not in (SOFT, NONNEG):
+            raise ShapeError(f"unknown thresholding operator {self.operator!r}")
         if len(self.layers) % 2 != 0:
             raise ShapeError("Res-CSC needs an even number of layers")
 
 
 def rescsc_forward(model, x):
-    x = np.asarray(x, dtype=float)
+    """Each pair's second layer is one step v = init - c F^T (F init - signal)
+    from the pair's input z or zero: (signal, init) is (x, z) for "full",
+    (x + F z, z) for "resnet", (x - F z, 0) for "simplified" and (x, 0) for
+    "plain", with x the first layer's code and F the second layer's bank."""
+    nonneg = model.operator == NONNEG
     codes = []
     for first, second in zip(model.layers[0::2], model.layers[1::2]):
-        pair_input = x
-        x = _plain_layer_step(first, x, model.operator)
+        z = np.asarray(x, dtype=float)
+        x = _layer_step(first, z, nonneg=nonneg)
         codes.append(x)
-
-        conv = second.kernel_bank
-        if x.shape != conv.input_shape:
-            raise ShapeError(
-                f"pair's second layer input of shape {x.shape} does not match "
-                f"dictionary input {conv.input_shape}"
-            )
-        scale = second.effective_scale()
-        pre = scale * conv.adjoint_array(x)
-        code_shape = (*conv.out_spatial, conv.width)
-        if model.variant != "plain" and pair_input.shape != code_shape:
-            raise ShapeError(
-                f"residual input of shape {pair_input.shape} does not match "
-                f"the layer's code shape {code_shape}; the residual terms "
-                "require shape-preserving layers"
-            )
-        if model.variant in ("full", "resnet"):
-            pre = pre + pair_input
-        if model.variant in ("full", "simplified"):
-            pre = pre - scale * conv.adjoint_array(conv.apply_array(pair_input))
-        x = _activate(pre, second.bias, model.operator)
+        signal, init = x, None
+        if model.variant != "plain":
+            conv = second.kernel_bank
+            if z.shape != (*conv.out_spatial, conv.width) or x.shape != conv.input_shape:
+                raise ShapeError(
+                    f"residual input of shape {z.shape} does not match the pair's "
+                    "second layer; the residual terms require shape-preserving layers"
+                )
+            if model.variant == "resnet":
+                signal = x + conv.apply_array(z)
+            elif model.variant == "simplified":
+                signal = x - conv.apply_array(z)
+            if model.variant != "simplified":
+                init = z
+        x = _layer_step(second, signal, nonneg=nonneg, init=init)
         codes.append(x)
     return codes
 
@@ -228,26 +240,11 @@ def msdcsc_layer_forward(layer, x, unfolding, solver="ista"):
     bias = -beta/L the layer is exactly ``ista`` (or ``fista``) on its Lasso
     problem with iterations = 1 + unfolding.
     """
-    x = np.asarray(x, dtype=float)
-    conv = layer.kernel_bank
-    if conv.padding != SAME:
+    if layer.kernel_bank.padding != SAME:
         raise ShapeError("dense layers require same-zero padding")
-    lead = x.shape[: x.ndim - len(conv.input_shape)]
-    if x.shape[len(lead) :] != conv.input_shape or len(lead) > 1:
-        raise ShapeError(
-            f"layer input of shape {x.shape} does not match dictionary input "
-            f"{conv.input_shape}"
-        )
     if solver not in ("ista", "fista"):
         raise ShapeError(f"unknown solver {solver!r}")
-    threshold = np.concatenate(
-        [np.full(conv.rows, -layer.passthrough_bias), np.tile(-layer.bias, conv.n_positions)]
-    )
-    iterates = pursuit.proximal_gradient(
-        layer.msd_dictionary(), x.reshape(*lead, conv.rows), threshold,
-        layer.effective_scale(msd=True), momentum=solver == "fista", nonneg=True,
-    )
-    return code_to_stack(pursuit.last_iterate(iterates, 1 + unfolding), conv)
+    return _layer_step(layer, x, msd=True, steps=1 + unfolding, momentum=solver == "fista")
 
 
 def msdcsc_forward(model, x, return_all=False):

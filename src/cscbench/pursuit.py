@@ -1,11 +1,12 @@
 """Lasso pursuit: one proximal-gradient loop, ISTA/FISTA, layered thresholding.
 
 ``proximal_gradient`` is the only ISTA/FISTA iteration in the package;
-``ista``/``fista`` (the per-sample reference solvers), the dense layers of
-:mod:`cscbench.models` and the batched pursuits of :mod:`cscbench.learning`
-all run it. Steps are 1/L with L = 2 * lambda_max(D.T D), the constant
-stated alongside the update rule (the tight one is lambda_max(D.T D));
-``lipschitz_override`` sets another. Only the logging probe of
+``ista``/``fista`` (the per-sample reference solvers), ``layered_thresholding``
+(one unit step from zero per layer), every forward layer of
+:mod:`cscbench.models` (plain, residual and dense) and the batched pursuits
+of :mod:`cscbench.learning` all run it. Steps are 1/L with
+L = 2 * lambda_max(D.T D), the constant stated alongside the update rule
+(the tight one is lambda_max(D.T D)); ``lipschitz_override`` sets another. Only the logging probe of
 :mod:`cscbench.learning`, a measurement rather than a model layer, takes
 twice that step: FISTA at 1/lambda_bar, lambda_bar = ``lipschitz_bound / 2``.
 ``lipschitz_bound`` gives every solver's L: certified, never below the
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import dictionary as dct
 from .errors import DivergenceError, InvalidThresholdError, ShapeError
-from .numeric import soft_threshold, soft_threshold_nonneg, symmetric_eigs
+from .numeric import _check_threshold, soft_threshold, symmetric_eigs
 
 
 @dataclass
@@ -177,6 +178,8 @@ def proximal_gradient(
 
 def last_iterate(iterates, steps):
     """The code after ``steps`` >= 1 steps of a ``proximal_gradient`` run."""
+    if steps < 1:
+        raise ShapeError(f"a pursuit takes at least one step (unfolding >= 0), got {steps}")
     for code, _ in itertools.islice(iterates, steps):
         pass
     return code
@@ -231,24 +234,27 @@ def fista(problem, config, init=None):
 
 
 def layered_thresholding(layers, signal, operator="soft"):
-    """One adjoint-apply + threshold per layer; returns all layer codes.
+    """One unit ``proximal_gradient`` step from zero per layer, i.e. one
+    adjoint-apply + threshold; returns all layer codes.
 
-    ``layers`` is a list of (dictionary, threshold) pairs; ``operator``
+    ``layers`` is a list of (dictionary, threshold) pairs, each threshold
+    nonnegative and broadcasting against the layer's code; ``operator``
     selects the signed ("soft") or nonnegative ("nonneg") operator.
     """
     if operator not in ("soft", "nonneg"):
         raise ShapeError(f"unknown thresholding operator {operator!r}")
-    op = soft_threshold_nonneg if operator == "nonneg" else soft_threshold
     current = np.asarray(signal, dtype=float)
     codes = []
     for i, (dictionary, threshold) in enumerate(layers):
-        rows = dictionary.shape[0]
+        rows, cols = dictionary.shape
         if current.shape != (rows,):
             raise ShapeError(
                 f"layer {i}: signal of length {current.shape} does not match "
                 f"dictionary rows {rows}"
             )
-        current = op(dct.apply_adjoint(dictionary, current), threshold)
+        threshold = _check_threshold(threshold, (cols,))
+        iterates = proximal_gradient(dictionary, current, threshold, 1.0, nonneg=operator == "nonneg")
+        current = last_iterate(iterates, 1)
         codes.append(current)
     return codes
 

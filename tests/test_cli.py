@@ -1,8 +1,14 @@
 """End-to-end command-line runs on tiny seeded configurations."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cscbench import cli
 from cscbench.cli import main
@@ -95,11 +101,10 @@ def test_pursue_writes_trace(tmp_path, capsys):
     assert len(lines) == doc["iterations_run"] + 2
 
 
+README_RANDOM = {"input_shape": [100, 1], "kernel_size": 3, "width": 4,
+                 "dilation": 1, "padding": "same", "seed": 0}
 README_PURSUE = {
-    "dictionary": {
-        "random": {"input_shape": [100, 1], "kernel_size": 3, "width": 4,
-                   "dilation": 1, "padding": "same", "seed": 0}
-    },
+    "dictionary": {"random": README_RANDOM},
     "signal": {"seed": 1},
     "beta": 0.1,
     "iterations": 200,
@@ -156,6 +161,39 @@ def test_pursue_divergence_exits_two_without_traceback(tmp_path, capsys):
             "error: pursue config key 'iterations' must be a finite number, got True\n",
         ),
         ({"beta": "0.5"}, "error: pursue config key 'beta' must be a finite number, got '0.5'\n"),
+        ({"betta": 5.0}, "error: unknown pursue config key 'betta'\n"),
+        (
+            {"dictionary": {"random": dict(README_RANDOM, widht=4)}},
+            "error: unknown pursue config key 'dictionary.random.widht'\n",
+        ),
+        (
+            {"dictionary": {"random": dict(README_RANDOM, width=2.7)}},
+            "error: pursue config key 'dictionary.random.width' must be a whole number, got 2.7\n",
+        ),
+        (
+            {"dictionary": {"random": dict(README_RANDOM, seed=0.9)}},
+            "error: pursue config key 'dictionary.random.seed' must be a whole number, got 0.9\n",
+        ),
+        (
+            {"dictionary": {"random": dict(README_RANDOM, input_shape=[100.5, 1])}},
+            "error: pursue config key 'dictionary.random.input_shape[0]' must be a whole "
+            "number, got 100.5\n",
+        ),
+        (
+            {"signal": {"seed": 1.5}},
+            "error: pursue config key 'signal.seed' must be a whole number, got 1.5\n",
+        ),
+        (
+            {"dictionary": {"random": dict(README_RANDOM, input_shape=10)}},
+            "error: pursue config key 'dictionary.random.input_shape' must be a nonempty list, "
+            "got 10\n",
+        ),
+        ({"solver": ["ista"]}, "error: unknown solver ['ista']; expected 'ista' or 'fista'\n"),
+        ({"dictionary": "random"}, "error: pursue config key 'dictionary' must be an object\n"),
+        (
+            {"dictionary": {"family": "msd", "kernels": 3}},
+            "error: pursue config key 'dictionary' is malformed: 'int' object is not iterable\n",
+        ),
     ],
 )
 def test_pursue_bad_config_value_exits_two(tmp_path, capsys, override, message):
@@ -165,6 +203,66 @@ def test_pursue_bad_config_value_exits_two(tmp_path, capsys, override, message):
     assert main(["pursue", "--config", str(cfg_path), "--out", str(out_path)]) == 2
     assert capsys.readouterr().err == message
     assert not out_path.exists()
+
+
+def _positions(doc, path=()):
+    """Every value's position in a JSON document, the document itself first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, child in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _positions(child, path + (key,))
+
+
+# fields whose value sets an array size or a loop count
+SIZE_FIELDS = {"input_shape", "kernel_size", "width", "dilation", "iterations"}
+
+
+def _json_values(numbers):
+    scalars = st.none() | st.booleans() | st.text(max_size=5) | numbers
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+ANY_VALUE = _json_values(
+    st.integers(-(10**400), 10**400) | st.floats(allow_nan=True, allow_infinity=True)
+)
+# small numbers only: the test checks type handling, not memory or run time
+SIZE_VALUE = _json_values(st.integers(-2, 12) | st.floats(-12.0, 12.0) | st.just(float("nan")))
+
+
+@given(st.data())
+def test_pursue_fuzzed_readme_document_exits_cleanly(data):
+    doc = copy.deepcopy(README_PURSUE)
+    path = data.draw(st.sampled_from(list(_positions(doc))))
+    is_size = any(key in SIZE_FIELDS for key in path if isinstance(key, str))
+    value = data.draw(SIZE_VALUE if is_size else ANY_VALUE)
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        with open(f"{tmp}/problem.json", "w") as fh:
+            json.dump(doc, fh)
+        code = main(["pursue", "--config", f"{tmp}/problem.json", "--out", f"{tmp}/t.csv"])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_unfold_sweep_negative_unfolding_exits_two(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["unfold-sweep", "--unfolding=-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_convergence_error_exits_two(monkeypatch, capsys):
@@ -238,9 +336,10 @@ def test_unfold_sweep_deterministic_csv(tmp_path):
 
 def test_malformed_config_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["pursue", "--config", str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
+    for text in ("{not json", json.dumps([README_PURSUE])):  # the second is no object
+        bad.write_text(text)
+        assert main(["pursue", "--config", str(bad)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_missing_config_key_exits_two(tmp_path, capsys):

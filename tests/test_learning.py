@@ -16,7 +16,6 @@ from cscbench.learning import (
     LearnConfig,
     SWEEP_HEADER,
     _fraction_beta,
-    _layer_dictionary,
     _next_input,
     _pursue,
     build_fig_models,
@@ -171,7 +170,7 @@ def test_probe_objective_at_fig4_defaults(msd):
     config = LearnConfig(outer_iterations=1, beta_schedule=INIT_FRACTION)
     _, (record,) = learn_dictionaries(model, dataset, config)
     # the probe pursues the trained layer 1 on the held-out probe signals
-    first = _layer_dictionary(model.layers[0], msd)
+    first = model.layers[0].dictionary(msd)
     problem = LassoProblem(first, dataset.test_signals[: config.probe_size], record.beta)
     lambda_bar = lipschitz_bound(first) / 2.0
 

@@ -9,9 +9,10 @@ from cscbench.dictionary import (
     random_dictionary,
     to_matrix,
 )
-from cscbench.errors import ShapeError
+from cscbench.errors import DivergenceError, ShapeError
 from cscbench.models import (
     NONNEG,
+    RESCSC_VARIANTS,
     SOFT,
     LayerParams,
     MLCSCModel,
@@ -176,6 +177,8 @@ def test_rescsc_validation(rng):
         ResCSCModel(layers, variant="skip")
     with pytest.raises(ShapeError):
         ResCSCModel(layers[:1])
+    with pytest.raises(ShapeError):
+        ResCSCModel(layers, operator="hard")
     # residual addition needs shape-preserving pairs
     narrow = [
         LayerParams(
@@ -187,6 +190,33 @@ def test_rescsc_validation(rng):
     ]
     with pytest.raises(ShapeError):
         rescsc_forward(ResCSCModel(narrow, variant="resnet"), rng.standard_normal((7, 2)))
+
+
+@pytest.mark.parametrize("variant", [None, *RESCSC_VARIANTS])
+def test_plain_and_residual_forwards_reject_batch_and_non_finite_input(rng, variant):
+    # only a dense layer takes a batch axis
+    layers = shape_preserving_layers(7, 2, seed=3, bias=-0.1, scale=0.5)
+    if variant is None:
+        forward = lambda x: mlcsc_forward(MLCSCModel(layers), x)
+    else:
+        forward = lambda x: rescsc_forward(ResCSCModel(layers, variant=variant), x)
+    x = rng.standard_normal((7, 2))
+    with pytest.raises(ShapeError):
+        forward(np.stack([x, x]))
+    for bad in (np.nan, np.inf):
+        x_bad = x.copy()
+        x_bad[3, 1] = bad
+        with pytest.raises(DivergenceError):
+            forward(x_bad)
+
+
+def test_mlcsc_forward_rejects_non_finite_input_no_window_reads():
+    # valid padding at dilation 3 reads positions 0 and 3 only, so a NaN at
+    # position 1 never reaches the code
+    bank = random_dictionary((4, 1), (2,), 1, dilation=3, padding="valid", seed=0)
+    x = np.array([[0.0], [np.nan], [0.0], [0.0]])
+    with pytest.raises(DivergenceError):
+        mlcsc_forward(MLCSCModel([LayerParams(bank, bias=np.zeros(1))]), x)
 
 
 # -- dense stacks -----------------------------------------------------------------
@@ -268,6 +298,8 @@ def test_msdcsc_model_validation():
         MSDCSCModel([layer], solver="sgd")
     with pytest.raises(ShapeError):
         MSDCSCModel([layer], unfolding=-1)
+    with pytest.raises(ShapeError):
+        msdcsc_layer_forward(layer, np.zeros((6, 1)), unfolding=-1)
     bank = random_dictionary((6, 1), (3,), 2, padding="valid", seed=0)
     with pytest.raises(ShapeError):
         msdcsc_layer_forward(

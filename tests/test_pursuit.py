@@ -339,6 +339,13 @@ def test_proximal_gradient_raises_on_non_finite_iterates(rng):
         last_iterate(iterates, 10)
 
 
+@pytest.mark.parametrize("steps", [0, -1])
+def test_last_iterate_rejects_fewer_than_one_step(rng, steps):
+    iterates = proximal_gradient(np.eye(3), rng.standard_normal(3), 0.1, 0.5)
+    with pytest.raises(ShapeError):
+        last_iterate(iterates, steps)
+
+
 def test_solvers_reject_a_batched_problem(rng):
     problem = LassoProblem(np.eye(3), rng.standard_normal((2, 3)), 0.1)
     with pytest.raises(ShapeError):
@@ -373,6 +380,16 @@ def test_layered_thresholding_matches_dense_oracle(rng):
     g2 = soft_threshold(d2.T @ g1, 0.1)
     assert np.allclose(codes[0], g1, atol=1e-13)
     assert np.allclose(codes[1], g2, atol=1e-13)
+
+
+@pytest.mark.parametrize("operator", ["soft", "nonneg"])
+def test_layered_thresholding_checks_thresholds(rng, operator):
+    d = rng.standard_normal((6, 8))
+    x = rng.standard_normal(6)
+    with pytest.raises(ShapeError):  # does not broadcast against the (8,) code
+        layered_thresholding([(d, np.full(3, 0.1))], x, operator=operator)
+    with pytest.raises(InvalidThresholdError):
+        layered_thresholding([(d, np.full(8, -0.1))], x, operator=operator)
 
 
 def test_layered_thresholding_reports_failing_layer(rng):
