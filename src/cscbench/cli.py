@@ -18,6 +18,7 @@ import numpy as np
 from .analysis import lemma1_threshold, run_verification_suite, suite_to_json
 from .data import SyntheticDatasetSpec
 from .dictionary import (
+    MAX_DENSE_ENTRIES,
     dictionary_from_json,
     mutual_coherence,
     random_dictionary,
@@ -70,6 +71,11 @@ def _cmd_coherence(args):
     return 0
 
 
+# The largest whole-number count a config may set: sizes and loop counts
+# (iterations, widths, depths, classes). Seeds are not counts. Array sizes
+# are bounded apart from this, by MAX_DENSE_ENTRIES.
+MAX_COUNT = 1_000_000
+
 PURSUE_KEYS = ("dictionary", "signal", "beta", "iterations", "tol", "nonneg",
                "lipschitz_override", "solver")
 RANDOM_KEYS = ("input_shape", "kernel_size", "width", "dilation", "padding", "seed")
@@ -94,11 +100,40 @@ def _pursue_number(value, key, whole=False):
     return int(value) if whole else float(value)
 
 
+def _check_count(value, key, command):
+    if value > MAX_COUNT:
+        raise ConfigError(
+            f"{command} config key {key!r} must be at most {MAX_COUNT}, got {value!r}"
+        )
+
+
+def _pursue_count(value, key):
+    """``value`` as a whole number no larger than MAX_COUNT."""
+    count = _pursue_number(value, key, whole=True)
+    _check_count(value, key, "pursue")
+    return count
+
+
 def _pursue_shape(value, key):
-    """A nonempty JSON list of whole numbers as a tuple of ints."""
+    """A nonempty JSON list of whole numbers as a tuple of counts."""
     if not (isinstance(value, list) and value):
         raise ConfigError(f"pursue config key {key!r} must be a nonempty list, got {value!r}")
-    return tuple(_pursue_number(v, f"{key}[{i}]", whole=True) for i, v in enumerate(value))
+    return tuple(_pursue_count(v, f"{key}[{i}]") for i, v in enumerate(value))
+
+
+def _check_entries(input_shape, kernel_spatial, width, dilation, command, batch=1):
+    """Reject a dictionary whose pursuit over ``batch`` signals would build an
+    array of more than MAX_DENSE_ENTRIES entries: the signal windows or the
+    codes ([I | D]'s at most), or the taps' DFT in ``lmax_bound``, whose grid
+    holds the kernel bank too."""
+    *spatial, channels = input_shape
+    grid = math.prod(d + dilation * (k - 1) for d, k in zip(spatial, kernel_spatial))
+    per_signal = math.prod(spatial) * max(math.prod(kernel_spatial) * channels, channels + width)
+    entries = max(batch * per_signal, width * channels * grid)
+    if entries > MAX_DENSE_ENTRIES:
+        raise ConfigError(
+            f"{command} config needs an array of {entries} entries (limit {MAX_DENSE_ENTRIES})"
+        )
 
 
 def _dictionary_from_config(doc):
@@ -106,19 +141,29 @@ def _dictionary_from_config(doc):
         raise ConfigError("pursue config key 'dictionary' must be an object")
     if "random" not in doc:
         try:
-            return dictionary_from_json(doc)
+            dictionary = dictionary_from_json(doc)
         except TypeError as exc:  # a serialized dictionary with wrongly typed values
             raise ConfigError(f"pursue config key 'dictionary' is malformed: {exc}") from exc
+        conv = getattr(dictionary, "conv", dictionary)
+        _check_entries(conv.input_shape, conv.kernel_spatial, conv.width, conv.dilation, "pursue")
+        return dictionary
     spec = doc["random"]
     label = "dictionary.random."
     _check_keys(spec, RANDOM_KEYS, label, "pursue")
+    input_shape = _pursue_shape(spec["input_shape"], label + "input_shape")
     kernel_size = spec["kernel_size"]
-    return random_dictionary(
-        _pursue_shape(spec["input_shape"], label + "input_shape"),
+    kernel_spatial = (
         _pursue_shape(kernel_size, label + "kernel_size") if isinstance(kernel_size, list)
-        else (_pursue_number(kernel_size, label + "kernel_size", whole=True),),
-        _pursue_number(spec["width"], label + "width", whole=True),
-        dilation=_pursue_number(spec.get("dilation", 1), label + "dilation", whole=True),
+        else (_pursue_count(kernel_size, label + "kernel_size"),)
+    )
+    width = _pursue_count(spec["width"], label + "width")
+    dilation = _pursue_count(spec.get("dilation", 1), label + "dilation")
+    _check_entries(input_shape, kernel_spatial, width, dilation, "pursue")
+    return random_dictionary(
+        input_shape,
+        kernel_spatial,
+        width,
+        dilation=dilation,
         padding=spec.get("padding", "valid"),
         seed=_pursue_number(spec.get("seed", 0), label + "seed", whole=True),
     )
@@ -135,11 +180,17 @@ def _cmd_pursue(args):
         _check_keys(signal_spec, ("seed",), "signal.", "pursue")
         seed = _pursue_number(signal_spec.get("seed", 0), "signal.seed", whole=True)
         signal = np.random.default_rng(seed).standard_normal(rows)
+    elif not isinstance(signal_spec, list):
+        raise ConfigError(
+            f"pursue config key 'signal' must be an object or a list, got {signal_spec!r}"
+        )
     else:
-        try:  # a ValueError (a string, a ragged list) passes on to main
-            signal = np.asarray(signal_spec, dtype=float)
-        except (TypeError, OverflowError) as exc:
-            raise ConfigError(f"pursue config key 'signal' is malformed: {exc}") from exc
+        for i, value in enumerate(signal_spec):
+            if not _finite_number(value):
+                raise ConfigError(
+                    f"pursue config key 'signal[{i}]' must be a finite number, got {value!r}"
+                )
+        signal = np.array(signal_spec, dtype=float)
     problem = LassoProblem(dictionary, signal, _pursue_number(doc.get("beta", 0.1), "beta"))
     nonneg = doc.get("nonneg", False)
     if not isinstance(nonneg, bool):
@@ -150,7 +201,7 @@ def _cmd_pursue(args):
             f"pursue config key 'lipschitz_override' must be a finite number, got {override!r}"
         )
     config = PursuitConfig(
-        iterations=_pursue_number(doc.get("iterations", 100), "iterations", whole=True),
+        iterations=_pursue_count(doc.get("iterations", 100), "iterations"),
         tol=_pursue_number(doc.get("tol", 1e-12), "tol"),
         nonneg=nonneg,
         lipschitz_override=override,
@@ -200,8 +251,21 @@ def _config_section(doc, name, cls=None, **defaults):
             raise ConfigError(f"fig4 config key {label!r} must be a finite number, got {value!r}")
         if isinstance(defaults[key], int) and value != int(value):
             raise ConfigError(f"fig4 config key {label!r} must be a whole number")
+        if isinstance(defaults[key], int) and key != "seed":
+            _check_count(value, label, "fig4")
         checked[key] = type(defaults[key])(value)
     return checked
+
+
+def _check_fig4_entries(spec, learn, width, depth, kernel_size):
+    """The dataset, and a training batch or probe at the deepest dense layer
+    (dilation at most 3), within MAX_DENSE_ENTRIES entries per array."""
+    n_train = spec.n_classes * spec.train_per_class
+    if (n_train + spec.test_total + spec.n_classes) * spec.dim > MAX_DENSE_ENTRIES:
+        raise ConfigError(f"fig4 config needs a dataset of more than {MAX_DENSE_ENTRIES} entries")
+    batch = max(min(learn.batch_size, n_train), min(learn.probe_size, spec.test_total))
+    channels = 1 + (depth - 1) * width
+    _check_entries((spec.dim, channels), (kernel_size,), width, 3, "fig4", batch)
 
 
 def _cmd_fig4(args):
@@ -213,18 +277,17 @@ def _cmd_fig4(args):
     dataset_doc = _config_section(doc, "dataset", SyntheticDatasetSpec)
     iterations = 20  # pursuit depth unless learn.pursuit_iterations sets it
     learn_doc = _config_section(doc, "learn", LearnConfig, pursuit_iterations=iterations)
-    model_doc = _config_section(doc, "model", width=16, depth=2, kernel_size=3)
+    model = dict(width=16, depth=2, kernel_size=3)
+    model.update(_config_section(doc, "model", **model))
     iterations = learn_doc.pop("pursuit_iterations", iterations)
     learn_config = LearnConfig(
         pursuit_config=PursuitConfig(iterations=iterations, nonneg=True),
         beta_schedule="init-fraction",
         **learn_doc,
     )
-    rows = reconstruction_experiment(
-        dataset_spec=SyntheticDatasetSpec(**dataset_doc),
-        learn_config=learn_config,
-        **model_doc,
-    )
+    spec = SyntheticDatasetSpec(**dataset_doc)
+    _check_fig4_entries(spec, learn_config, **model)
+    rows = reconstruction_experiment(dataset_spec=spec, learn_config=learn_config, **model)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "fig4.csv")
     write_experiment_csv(rows, out_path)

@@ -15,7 +15,13 @@ Conventions, fixed package-wide:
     output grid equals input grid);
   * an MSD dictionary is [I | D_conv] with "same" padding so the identity
     block aligns with the signal. Its code is the block concatenation
-    (identity slot | conv slot).
+    (identity slot | conv slot);
+  * the operators (``apply``, ``apply_adjoint`` and their array forms, here
+    and for dense matrices) return fresh arrays that share no memory with
+    their operand or the dictionary; ``pursuit.proximal_gradient`` relies
+    on it when it updates their outputs in place. Zero padding is never
+    stored: per tap, the operators read or write only the part of the
+    signal that the tap reaches.
 """
 
 from __future__ import annotations
@@ -230,37 +236,27 @@ class ConvDictionary:
         return mat
 
     @cached_property
-    def _tap_slices(self):
-        """Per tap, the padded signal's slice (batch axis first) it reads."""
-        s, out = self.dilation, self.out_spatial
+    def _tap_table(self):
+        """Per tap, a (code-grid slice, signal slice) pair, batch axis first:
+        the positions whose input for that tap lies inside the signal, and
+        those inputs. No padded copy of a signal is ever made."""
+        axes = []
+        for k, dim, out, left in zip(
+            self.kernel_spatial, self.spatial_shape, self.out_spatial, self.pad_left
+        ):
+            shifts = [t * self.dilation - left for t in range(k)]
+            bounds = [(max(0, -sh), max(0, -sh, min(out, dim - sh)), sh) for sh in shifts]
+            axes.append([(slice(lo, hi), slice(lo + sh, hi + sh)) for lo, hi, sh in bounds])
         return tuple(
-            (slice(None),) + tuple(slice(t[d] * s, t[d] * s + out[d]) for d in range(len(out)))
-            for t in itertools.product(*(range(k) for k in self.kernel_spatial))
-        )
-
-    @cached_property
-    def _padded_shape(self):
-        """Shape of a zero-padded signal, without the batch axis."""
-        spatial = map(sum, zip(self.spatial_shape, self.pad_left, self.pad_right))
-        return (*spatial, self.channels)
-
-    @cached_property
-    def _crop(self):
-        """The slice of a padded signal batch that holds the signal."""
-        return (slice(None),) + tuple(
-            slice(l, l + dim) for l, dim in zip(self.pad_left, self.spatial_shape)
+            tuple((slice(None), *sl) for sl in zip(*tap)) for tap in itertools.product(*axes)
         )
 
     def _windows(self, x):
         """Signal windows (B, *spatial, c) -> (B * n_positions, n_taps * c):
         row p holds the taps' inputs at position p, tap-major like the taps."""
-        xp = x
-        if self.padding == SAME:
-            xp = np.zeros((len(x), *self._padded_shape))
-            xp[self._crop] = x
-        windows = np.empty((len(x), self.n_positions, len(self._tap_slices), self.channels))
-        for t_idx, sl in enumerate(self._tap_slices):
-            windows[:, :, t_idx, :] = xp[sl].reshape(len(x), -1, self.channels)
+        windows = np.zeros((len(x), *self.out_spatial, len(self._tap_table), self.channels))
+        for t_idx, (code_sl, signal_sl) in enumerate(self._tap_table):
+            windows[(*code_sl, t_idx)] = x[signal_sl]
         return windows.reshape(len(x) * self.n_positions, -1)
 
     # -- matrix-free application: every operand is (*shape) or a batch
@@ -275,16 +271,16 @@ class ConvDictionary:
 
     def apply_array(self, code):
         """D applied to a code array (*out, width) -> signal (*spatial, c): per
-        tap one GEMM (B * n_positions, width) @ (width, c) into the padded signal."""
+        tap one GEMM (B * n_positions, width) @ (width, c), added into the
+        signal where that tap lands inside it."""
         cb, batched = _as_batch(code, (*self.out_spatial, self.width), "code")
         flat = cb.reshape(-1, self.width)
-        xp = np.zeros((len(cb), *self._padded_shape))
+        signal = np.zeros((len(cb), *self.input_shape))
         contrib = np.empty((len(flat), self.channels))
         tap_blocks = self._kernel_matrix.reshape(self.width, -1, self.channels)
-        for t_idx, sl in enumerate(self._tap_slices):
+        for t_idx, (code_sl, signal_sl) in enumerate(self._tap_table):
             np.matmul(flat, tap_blocks[:, t_idx], out=contrib)
-            xp[sl] += contrib.reshape(len(cb), *self.out_spatial, self.channels)
-        signal = xp[self._crop]
+            signal[signal_sl] += contrib.reshape(len(cb), *self.out_spatial, self.channels)[code_sl]
         return signal if batched else signal[0]
 
     def apply(self, code):
@@ -361,7 +357,9 @@ class MSDDictionary:
 
     def apply(self, code):
         identity_part, conv_part = self.split_code(code)
-        return identity_part + self.conv.apply(conv_part)
+        signal = self.conv.apply(conv_part)
+        signal += identity_part
+        return signal
 
     def apply_adjoint(self, signal):
         conv_part = self.conv.apply_adjoint(signal)

@@ -67,6 +67,8 @@ class LearnConfig:
     def __post_init__(self):
         if min(self.probe_iterations, self.objective_iterations) < 1:
             raise ShapeError("probe and objective iterations must be >= 1")
+        if min(self.batch_size, self.probe_size) < 1:
+            raise ShapeError("batch and probe sizes must be >= 1")
         if self.dict_step < 0:
             raise ShapeError("dict_step must be nonnegative")
         if self.beta_schedule not in (FIXED, INIT_FRACTION, TRACE_FRACTION):
@@ -98,16 +100,45 @@ class ExperimentRecord:
     wall_ms: float
 
 
+# Pursuits and layer forwards run over their samples in blocks of this
+# many, for two reasons. Peak RSS: a block's temporaries grow with it; over
+# one sample at a time, the unfold sweep's whole set at once raised its peak
+# RSS by 13-15%, blocks of 50 by 6%, blocks of 25 by 3.5%. Cache: a block's
+# pursuit state (codes, momentum point, gradient, windows) stays within a
+# core's L2 cache for every step, where a batch of 64-128 signals does not.
+# Rows are independent, so blocking changes no result beyond GEMM rounding.
+_BLOCK = 25
+
+
+def _in_blocks(fn, *batches):
+    """``fn`` on aligned blocks of the batches' samples, which returns a tuple
+    of per-sample arrays; filled into outputs rather than concatenated, which
+    would hold every block twice."""
+    n = len(batches[0])
+    outputs = None
+    for i in range(0, n, _BLOCK):
+        parts = fn(*(batch[i : i + _BLOCK] for batch in batches))
+        if outputs is None:
+            outputs = [np.empty((n,) + part.shape[1:]) for part in parts]
+        for output, part in zip(outputs, parts):
+            output[i : i + _BLOCK] = part
+    return outputs
+
+
 def _pursue(dictionary, signals, beta, iterations, momentum, lipschitz=None):
     """Nonnegative ISTA (FISTA with ``momentum``) from zero over a batch
     of flat signals (B, rows), stepping by 1 / ``lipschitz``, by default the
-    layers' certified ``lipschitz_bound``."""
+    layers' certified ``lipschitz_bound``; run in blocks of ``_BLOCK``."""
     if lipschitz is None:
         lipschitz = lipschitz_bound(dictionary)
-    iterates = proximal_gradient(
-        dictionary, signals, beta / lipschitz, 1.0 / lipschitz, momentum, nonneg=True
-    )
-    return last_iterate(iterates, iterations)
+
+    def pursue(block):
+        iterates = proximal_gradient(
+            dictionary, block, beta / lipschitz, 1.0 / lipschitz, momentum, nonneg=True
+        )
+        return (last_iterate(iterates, iterations),)
+
+    return _in_blocks(pursue, signals)[0]
 
 
 def _next_input(codes, layer, msd):
@@ -290,28 +321,6 @@ def write_experiment_csv(rows, path):
 # -- unfolding sweep -----------------------------------------------------------
 
 
-# The sweep sends its samples through the layers in blocks of this many: a
-# block amortizes the operators' per-call cost, and its temporaries grow
-# with it. Over one sample at a time the whole set at once raised the
-# sweep's peak RSS by 13-15%, blocks of 50 by 6%, blocks of 25 by 3.5%.
-_BLOCK = 25
-
-
-def _in_blocks(fn, *batches):
-    """``fn`` on aligned blocks of the batches' samples, which returns a tuple
-    of per-sample arrays; filled into outputs rather than concatenated, which
-    would hold every block twice."""
-    n = len(batches[0])
-    outputs = None
-    for i in range(0, n, _BLOCK):
-        parts = fn(*(batch[i : i + _BLOCK] for batch in batches))
-        if outputs is None:
-            outputs = [np.empty((n,) + part.shape[1:]) for part in parts]
-        for output, part in zip(outputs, parts):
-            output[i : i + _BLOCK] = part
-    return outputs
-
-
 def build_pursuit_model(
     dim, width=8, depth=2, kernel_size=3, seed=0, beta=0.1, calibration=None
 ):
@@ -382,7 +391,7 @@ def unfold_objectives(model, signals, unfolding, solver, layer_inputs=None):
 
     def block(x, *refs):
         objectives = []
-        for layer, ref in zip(model.layers, refs):
+        for i, (layer, ref) in enumerate(zip(model.layers, refs)):
             out_ref = msdcsc_layer_forward(layer, ref, unfolding, solver)
             beta = -layer.bias[0] * layer.lipschitz(msd=True)
             problem = LassoProblem(
@@ -391,8 +400,9 @@ def unfold_objectives(model, signals, unfolding, solver, layer_inputs=None):
             objectives.append(
                 lasso_objective(problem, stack_to_code(out_ref, layer.kernel_bank))
             )
-            # at unfolding 0 the chained input is the reference input
-            x = out_ref if unfolding == 0 else msdcsc_layer_forward(
+            # the chained input is the reference input at unfolding 0, and
+            # at layer 1, whose reference input is the signal itself
+            x = out_ref if unfolding == 0 or i == 0 else msdcsc_layer_forward(
                 layer, x, unfolding, solver
             )
         return np.stack(objectives, axis=1), x.reshape(len(x), -1)

@@ -24,7 +24,7 @@ from .dictionary import (
     MSDDictionary,
     random_dictionary,
 )
-from .errors import DivergenceError, ShapeError
+from .errors import ShapeError
 
 SOFT = "soft"
 NONNEG = "nonneg"
@@ -122,8 +122,6 @@ def _layer_step(layer, x, msd=False, steps=1, momentum=False, nonneg=True, init=
             f"layer input of shape {x.shape} does not match dictionary input "
             f"{conv.input_shape}"
         )
-    if not np.all(np.isfinite(x)):
-        raise DivergenceError("layer input has non-finite values")
     threshold = np.tile(-layer.bias, conv.n_positions)
     if msd:
         threshold = np.concatenate([np.full(conv.rows, -layer.passthrough_bias), threshold])

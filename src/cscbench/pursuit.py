@@ -146,32 +146,43 @@ def proximal_gradient(
     batches (B, rows)/(B, cols). ``threshold`` (beta * step for a Lasso
     problem) broadcasts against a code; the prox is max(v - threshold, 0)
     with ``nonneg``, which takes negative thresholds (network biases), else
-    the soft threshold. ``init=None`` starts from zero.
+    the soft threshold. ``init=None`` starts from zero; an ``init`` has the
+    shape of the codes. A non-finite signal or iterate raises
+    ``DivergenceError``. No yielded code is written to afterwards.
     """
     signal = np.asarray(signal, dtype=float)
+    if not np.all(np.isfinite(signal)):
+        raise DivergenceError("pursuit signal has non-finite values")
     code = point = None if init is None else np.asarray(init, dtype=float)
-    t_k = 1.0
+    t_k, buffer = 1.0, None
     while True:
-        # v = point - step * grad in place: on batches these temporaries
-        # set the callers' peak memory. From zero the gradient is -D.T X.
-        residual = -signal if point is None else dct.apply(dictionary, point) - signal
-        v = dct.apply_adjoint(dictionary, residual)
-        v *= -step
-        if point is not None:
+        # v = point + D.T (step * (X - D point)), scaled on the rows side (the
+        # smaller, for an overcomplete D) and updated in place in the
+        # operators' fresh outputs: on batches, memory traffic sets the speed
+        if point is None:
+            v = dct.apply_adjoint(dictionary, step * signal)
+        else:
+            residual = dct.apply(dictionary, point)
+            residual -= signal
+            residual *= -step
+            v = dct.apply_adjoint(dictionary, residual)
             v += point
         if nonneg:
             v -= threshold
             new = np.maximum(v, 0.0, out=v)
         else:
             new = soft_threshold(v, threshold)
-        if not np.all(np.isfinite(new)):
+        # max(., 0) leaves no -inf, so one max reduction finds a NaN or +inf
+        if not (np.isfinite(new.max(initial=0.0)) if nonneg else np.all(np.isfinite(new))):
             raise DivergenceError("pursuit produced non-finite values")
         yield new, t_k
         point = new
         if momentum:
             t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
             if code is not None:  # None only from zero, where t_k - 1 = 0
-                point = new + ((t_k - 1.0) / t_next) * (new - code)
+                point = buffer = np.subtract(new, code, out=buffer)  # never yielded
+                point *= (t_k - 1.0) / t_next
+                point += new
             t_k = t_next
         code = new
 

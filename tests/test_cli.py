@@ -194,6 +194,47 @@ def test_pursue_divergence_exits_two_without_traceback(tmp_path, capsys):
             {"dictionary": {"family": "msd", "kernels": 3}},
             "error: pursue config key 'dictionary' is malformed: 'int' object is not iterable\n",
         ),
+        (
+            {"signal": ["1.5", "2", "0.5"]},
+            "error: pursue config key 'signal[0]' must be a finite number, got '1.5'\n",
+        ),
+        ({"signal": [1.5, True]}, "error: pursue config key 'signal[1]' must be a finite number, got True\n"),
+        (
+            {"signal": [0.5, float("nan")]},
+            "error: pursue config key 'signal[1]' must be a finite number, got nan\n",
+        ),
+        pytest.param(
+            {"signal": [10**400]},
+            f"error: pursue config key 'signal[0]' must be a finite number, got {10**400}\n",
+            id="signal-int-beyond-float-range",
+        ),
+        ({"signal": [[1.5]]}, "error: pursue config key 'signal[0]' must be a finite number, got [1.5]\n"),
+        ({"signal": "1.5"}, "error: pursue config key 'signal' must be an object or a list, got '1.5'\n"),
+        ({"iterations": 1e300}, "error: pursue config key 'iterations' must be at most 1000000, got 1e+300\n"),
+        pytest.param(
+            {"dictionary": {"random": dict(README_RANDOM, width=10**300)}},
+            "error: pursue config key 'dictionary.random.width' must be at most 1000000, "
+            f"got {10**300}\n",
+            id="width-beyond-count-limit",
+        ),
+        (
+            {"dictionary": {"random": dict(README_RANDOM, input_shape=[10**7, 1])}},
+            "error: pursue config key 'dictionary.random.input_shape[0]' must be at most "
+            "1000000, got 10000000\n",
+        ),
+        (  # windows: 100 positions * 1000 taps; the count limit alone lets it through
+            {"dictionary": {"random": dict(README_RANDOM, kernel_size=10**6)}},
+            "error: pursue config needs an array of 100000000 entries (limit 10000000)\n",
+        ),
+        (  # the taps' DFT: width 8 * grid 100 + 2 * 10**6
+            {"dictionary": {"random": dict(README_RANDOM, width=8, dilation=10**6)}},
+            "error: pursue config needs an array of 16000800 entries (limit 10000000)\n",
+        ),
+        (  # a serialized dictionary's input grid: the [I | D] code of 10**8 positions
+            {"dictionary": {"family": "msd", "kernels": [[[1.0]]], "dilation": 1,
+                            "input_shape": [10**8, 1], "padding": "same"}},
+            "error: pursue config needs an array of 200000000 entries (limit 10000000)\n",
+        ),
     ],
 )
 def test_pursue_bad_config_value_exits_two(tmp_path, capsys, override, message):
@@ -230,8 +271,12 @@ def _json_values(numbers):
 ANY_VALUE = _json_values(
     st.integers(-(10**400), 10**400) | st.floats(allow_nan=True, allow_infinity=True)
 )
-# small numbers only: the test checks type handling, not memory or run time
-SIZE_VALUE = _json_values(st.integers(-2, 12) | st.floats(-12.0, 12.0) | st.just(float("nan")))
+# small numbers, or numbers far beyond the count and array bounds: the test
+# checks type and bound handling, not memory or run time
+SIZE_VALUE = _json_values(
+    st.integers(-2, 12) | st.floats(-12.0, 12.0) | st.just(float("nan"))
+    | st.sampled_from([10**300, -(10**300), 1e300])
+)
 
 
 @given(st.data())
@@ -303,6 +348,17 @@ def test_fig4_tiny_config(tmp_path, capsys):
             f"fig4 config key 'dataset.seed' must be a finite number, got {10**400!r}",
             id="dataset-seed-int-beyond-float-range",
         ),
+        ("learn", "outer_iterations", 10**7, "fig4 config key 'learn.outer_iterations' must be at most 1000000, got 10000000"),
+        pytest.param(
+            "dataset", "n_classes", 10**300,
+            f"fig4 config key 'dataset.n_classes' must be at most 1000000, got {10**300}",
+            id="n_classes-beyond-count-limit",
+        ),
+        ("learn", "objective_iterations", 1e300, "fig4 config key 'learn.objective_iterations' must be at most 1000000, got 1e+300"),
+        ("dataset", "n_classes", 10**6, "fig4 config needs a dataset of more than 10000000 entries"),
+        # windows of 8 signals at layer 10**5: 12 positions * 3 taps * 199999 channels
+        ("model", "depth", 10**5, "fig4 config needs an array of 57599712 entries (limit 10000000)"),
+        ("learn", "probe_size", 0, "batch and probe sizes must be >= 1"),
         pytest.param(
             "dataset", "noise_sigma", -(10**400),
             f"fig4 config key 'dataset.noise_sigma' must be a finite number, got {-(10**400)!r}",

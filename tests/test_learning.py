@@ -33,7 +33,9 @@ from cscbench.pursuit import (
     PursuitConfig,
     ista,
     lasso_objective,
+    last_iterate,
     lipschitz_bound,
+    proximal_gradient,
 )
 
 
@@ -76,6 +78,22 @@ def test_batched_ista_matches_per_sample_solver(rng):
             ),
         ).code
         assert np.max(np.abs(codes[j] - want)) < 1e-12
+
+
+@pytest.mark.parametrize("batch", [1, learning._BLOCK, learning._BLOCK + 1, 64])
+@pytest.mark.parametrize("momentum", [False, True])
+def test_blocked_pursue_matches_one_unblocked_run(rng, batch, momentum):
+    conv = random_dictionary((12, 2), (3,), 3, dilation=2, padding=SAME, seed=5)
+    for dictionary in (conv, MSDDictionary(conv), to_matrix(conv)):
+        signals = rng.standard_normal((batch, conv.rows))
+        lipschitz = lipschitz_bound(dictionary)
+        iterates = proximal_gradient(
+            dictionary, signals, 0.1 / lipschitz, 1.0 / lipschitz, momentum, nonneg=True
+        )
+        want = last_iterate(iterates, 12)
+        got = _pursue(dictionary, signals, 0.1, 12, momentum)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_batched_ista_momentum_improves_objective(rng):
@@ -300,9 +318,10 @@ def test_unfold_sweep_layer_forward_count(monkeypatch):
     # 200 training and 100 test signals in blocks of 25: 12 blocks. Each
     # block passes layer 1 once for the reference inputs (the calibration
     # pass on training blocks); then per unfolding and layer one reference
-    # forward, plus a chained one at unfolding > 0.
+    # forward, plus a chained one at unfolding > 0 past layer 1, whose
+    # reference input is the signal itself.
     blocks = (200 + 100) // learning._BLOCK
-    assert len(calls) == blocks * 1 + blocks * 2 * (1 + 2 + 2)
+    assert len(calls) == blocks * (1 + 8)
 
 
 # -- CSV writers -------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Lasso solvers: closed-form identities, monotonicity, dense oracles."""
 
 import csv
+import itertools
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from cscbench.dictionary import (
     SAME,
+    ConvDictionary,
     MSDDictionary,
     random_dictionary,
     to_matrix,
@@ -334,9 +336,47 @@ def test_proximal_gradient_takes_negative_nonneg_thresholds(rng):
 
 def test_proximal_gradient_raises_on_non_finite_iterates(rng):
     mat = rng.standard_normal((5, 7))
-    iterates = proximal_gradient(mat, rng.standard_normal(5), 0.0, 1e300)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
-        last_iterate(iterates, 10)
+    signal = rng.standard_normal(5)
+    for nonneg in (False, True):  # the nonneg prox is checked by one max reduction
+        iterates = proximal_gradient(mat, signal, 0.0, 1e300, nonneg=nonneg)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+            last_iterate(iterates, 10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("momentum", [False, True])
+def test_nonneg_run_with_non_finite_signal_raises(rng, bad, momentum):
+    # nonnegative taps map a -inf entry to -inf only, which max(v - threshold, 0)
+    # would turn into zeros: the signal itself is checked
+    bank = random_dictionary((9, 1), (3,), 2, padding=SAME, seed=1)
+    conv = ConvDictionary([np.abs(k.taps) for k in bank.kernels], bank.input_shape, SAME)
+    for dictionary in (conv, MSDDictionary(conv), to_matrix(conv)):
+        signals = rng.standard_normal((3, conv.rows))
+        signals[1, 4] = bad
+        iterates = proximal_gradient(dictionary, signals, 0.1, 0.1, momentum, nonneg=True)
+        with pytest.raises(DivergenceError):
+            last_iterate(iterates, 5)
+
+
+@pytest.mark.parametrize("nonneg", [False, True])
+def test_yielded_iterates_are_never_written_after_yield(rng, nonneg):
+    conv = random_dictionary((9, 2), (3,), 3, dilation=2, padding=SAME, seed=4)
+    for dictionary in (conv, MSDDictionary(conv), to_matrix(conv)):
+        signals = rng.standard_normal((4, conv.rows))
+        init = rng.uniform(0.0, 0.1, (4, dictionary.shape[1]))
+        init_copy = init.copy()
+        step = 1.0 / lipschitz_bound(dictionary)
+        kept, copies = [], []
+        iterates = proximal_gradient(
+            dictionary, signals, 0.05 * step, step, momentum=True, nonneg=nonneg, init=init
+        )
+        for code, _ in itertools.islice(iterates, 10):
+            kept.append(code)
+            copies.append(code.copy())
+        assert len(kept) == 10
+        for code, copy in zip(kept, copies):
+            assert np.array_equal(code, copy)
+        assert np.array_equal(init, init_copy)
 
 
 @pytest.mark.parametrize("steps", [0, -1])
