@@ -50,9 +50,9 @@ class SpectrumCheck:
     max_abs_deviation: float
 
 
-def lemma1_threshold(dictionary):
-    """Uniqueness sparsity level 0.5 * (1 + 1/mu); +inf for orthogonal columns."""
-    mu = mutual_coherence(dictionary)
+def lemma1_threshold(mu):
+    """Uniqueness sparsity level 0.5 * (1 + 1/mu) of a dictionary of mutual
+    coherence ``mu``; +inf for orthogonal columns (mu = 0)."""
     if mu == 0.0:
         return float("inf")
     return 0.5 * (1.0 + 1.0 / mu)

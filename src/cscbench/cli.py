@@ -23,7 +23,7 @@ from .dictionary import (
     mutual_coherence,
     random_dictionary,
 )
-from .errors import ConfigError, ConvergenceError, DivergenceError, ShapeError
+from .errors import ConfigError, CscbenchError, ShapeError
 from .learning import (
     LearnConfig,
     reconstruction_experiment,
@@ -48,18 +48,16 @@ def _cmd_verify(args):
 
 
 def _cmd_coherence(args):
-    spatial = _parse_shape(args.kernel_size)
-    input_shape = _parse_shape(args.input_shape) + (args.channels,)
-    bank = random_dictionary(
-        input_shape,
-        spatial,
-        args.width,
-        dilation=args.dilation,
-        padding=args.padding,
-        seed=args.seed,
-    )
-    mu = mutual_coherence(bank)
-    threshold = lemma1_threshold(bank)
+    spec = {
+        "input_shape": [*_parse_shape(args.input_shape), args.channels],
+        "kernel_size": list(_parse_shape(args.kernel_size)),
+        "width": args.width,
+        "dilation": args.dilation,
+        "padding": args.padding,
+        "seed": args.seed,
+    }
+    mu = mutual_coherence(_random_dictionary(spec, "", "coherence"))
+    threshold = lemma1_threshold(mu)
     print(
         json.dumps(
             {
@@ -81,44 +79,32 @@ PURSUE_KEYS = ("dictionary", "signal", "beta", "iterations", "tol", "nonneg",
 RANDOM_KEYS = ("input_shape", "kernel_size", "width", "dilation", "padding", "seed")
 
 
-def _finite_number(value):
-    """Whether a JSON value is a finite number; bools are not numbers here."""
-    try:  # strings and lists raise TypeError
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):  # OverflowError: an int beyond float range
-        return False
-
-
-def _pursue_number(value, key, whole=False):
-    """``value`` checked as ``_finite_number`` does, except that a float
-    NaN or infinity passes on to the solver's own range checks; ``whole``
-    asks for a finite whole number, returned as an int."""
-    if not (_finite_number(value) or isinstance(value, float) and not whole):
-        raise ConfigError(f"pursue config key {key!r} must be a finite number, got {value!r}")
+def _number(value, key, command, whole=False, count=False):
+    """A finite JSON number (bools, strings and ints beyond float range are
+    not) as a float; ``whole`` asks for a whole number, returned as an int,
+    ``count`` for one no larger than MAX_COUNT."""
+    try:  # strings and lists raise TypeError, an int beyond float range OverflowError
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise ConfigError(f"{command} config key {key!r} must be a finite number, got {value!r}")
     if whole and value != int(value):
-        raise ConfigError(f"pursue config key {key!r} must be a whole number, got {value!r}")
-    return int(value) if whole else float(value)
-
-
-def _check_count(value, key, command):
-    if value > MAX_COUNT:
+        raise ConfigError(f"{command} config key {key!r} must be a whole number, got {value!r}")
+    if count and value > MAX_COUNT:
         raise ConfigError(
             f"{command} config key {key!r} must be at most {MAX_COUNT}, got {value!r}"
         )
+    return int(value) if whole else float(value)
 
 
-def _pursue_count(value, key):
-    """``value`` as a whole number no larger than MAX_COUNT."""
-    count = _pursue_number(value, key, whole=True)
-    _check_count(value, key, "pursue")
-    return count
-
-
-def _pursue_shape(value, key):
-    """A nonempty JSON list of whole numbers as a tuple of counts."""
+def _shape(value, key, command):
+    """A nonempty JSON list of counts as a tuple."""
     if not (isinstance(value, list) and value):
-        raise ConfigError(f"pursue config key {key!r} must be a nonempty list, got {value!r}")
-    return tuple(_pursue_count(v, f"{key}[{i}]") for i, v in enumerate(value))
+        raise ConfigError(f"{command} config key {key!r} must be a nonempty list, got {value!r}")
+    return tuple(
+        _number(v, f"{key}[{i}]", command, whole=True, count=True) for i, v in enumerate(value)
+    )
 
 
 def _check_entries(input_shape, kernel_spatial, width, dilation, command, batch=1):
@@ -136,37 +122,44 @@ def _check_entries(input_shape, kernel_spatial, width, dilation, command, batch=
         )
 
 
-def _dictionary_from_config(doc):
-    if not isinstance(doc, dict):
-        raise ConfigError("pursue config key 'dictionary' must be an object")
-    if "random" not in doc:
-        try:
-            dictionary = dictionary_from_json(doc)
-        except TypeError as exc:  # a serialized dictionary with wrongly typed values
-            raise ConfigError(f"pursue config key 'dictionary' is malformed: {exc}") from exc
-        conv = getattr(dictionary, "conv", dictionary)
-        _check_entries(conv.input_shape, conv.kernel_spatial, conv.width, conv.dilation, "pursue")
-        return dictionary
-    spec = doc["random"]
-    label = "dictionary.random."
-    _check_keys(spec, RANDOM_KEYS, label, "pursue")
-    input_shape = _pursue_shape(spec["input_shape"], label + "input_shape")
+def _random_dictionary(spec, label, command):
+    """The seeded random bank of a ``random`` spec (keys RANDOM_KEYS, each
+    prefixed by ``label`` in messages): sizes are counts, arrays are bounded."""
+    def count(key, value):
+        return _number(value, label + key, command, whole=True, count=True)
+
+    _check_keys(spec, RANDOM_KEYS, label, command)
+    input_shape = _shape(spec["input_shape"], label + "input_shape", command)
     kernel_size = spec["kernel_size"]
     kernel_spatial = (
-        _pursue_shape(kernel_size, label + "kernel_size") if isinstance(kernel_size, list)
-        else (_pursue_count(kernel_size, label + "kernel_size"),)
+        _shape(kernel_size, label + "kernel_size", command) if isinstance(kernel_size, list)
+        else (count("kernel_size", kernel_size),)
     )
-    width = _pursue_count(spec["width"], label + "width")
-    dilation = _pursue_count(spec.get("dilation", 1), label + "dilation")
-    _check_entries(input_shape, kernel_spatial, width, dilation, "pursue")
+    width = count("width", spec["width"])
+    dilation = count("dilation", spec.get("dilation", 1))
+    _check_entries(input_shape, kernel_spatial, width, dilation, command)
     return random_dictionary(
         input_shape,
         kernel_spatial,
         width,
         dilation=dilation,
         padding=spec.get("padding", "valid"),
-        seed=_pursue_number(spec.get("seed", 0), label + "seed", whole=True),
+        seed=_number(spec.get("seed", 0), label + "seed", command, whole=True),
     )
+
+
+def _dictionary_from_config(doc):
+    if not isinstance(doc, dict):
+        raise ConfigError("pursue config key 'dictionary' must be an object")
+    if "random" in doc:
+        return _random_dictionary(doc["random"], "dictionary.random.", "pursue")
+    try:
+        dictionary = dictionary_from_json(doc)
+    except TypeError as exc:  # a serialized dictionary with wrongly typed values
+        raise ConfigError(f"pursue config key 'dictionary' is malformed: {exc}") from exc
+    conv = getattr(dictionary, "conv", dictionary)
+    _check_entries(conv.input_shape, conv.kernel_spatial, conv.width, conv.dilation, "pursue")
+    return dictionary
 
 
 def _cmd_pursue(args):
@@ -175,36 +168,32 @@ def _cmd_pursue(args):
     _check_keys(doc, PURSUE_KEYS, "", "pursue")
     dictionary = _dictionary_from_config(doc["dictionary"])
     signal_spec = doc["signal"]
-    rows = dictionary.shape[0]
     if isinstance(signal_spec, dict):
         _check_keys(signal_spec, ("seed",), "signal.", "pursue")
-        seed = _pursue_number(signal_spec.get("seed", 0), "signal.seed", whole=True)
-        signal = np.random.default_rng(seed).standard_normal(rows)
-    elif not isinstance(signal_spec, list):
+        seed = _number(signal_spec.get("seed", 0), "signal.seed", "pursue", whole=True)
+        signal = np.random.default_rng(seed).standard_normal(dictionary.shape[0])
+    elif isinstance(signal_spec, list):
+        signal = np.array(
+            [_number(v, f"signal[{i}]", "pursue") for i, v in enumerate(signal_spec)]
+        )
+    else:
         raise ConfigError(
             f"pursue config key 'signal' must be an object or a list, got {signal_spec!r}"
         )
-    else:
-        for i, value in enumerate(signal_spec):
-            if not _finite_number(value):
-                raise ConfigError(
-                    f"pursue config key 'signal[{i}]' must be a finite number, got {value!r}"
-                )
-        signal = np.array(signal_spec, dtype=float)
-    problem = LassoProblem(dictionary, signal, _pursue_number(doc.get("beta", 0.1), "beta"))
+    problem = LassoProblem(dictionary, signal, _number(doc.get("beta", 0.1), "beta", "pursue"))
     nonneg = doc.get("nonneg", False)
     if not isinstance(nonneg, bool):
         raise ConfigError(f"pursue config key 'nonneg' must be true or false, got {nonneg!r}")
     override = doc.get("lipschitz_override")
-    if override is not None and not _finite_number(override):
-        raise ConfigError(
-            f"pursue config key 'lipschitz_override' must be a finite number, got {override!r}"
-        )
     config = PursuitConfig(
-        iterations=_pursue_count(doc.get("iterations", 100), "iterations"),
-        tol=_pursue_number(doc.get("tol", 1e-12), "tol"),
+        iterations=_number(
+            doc.get("iterations", 100), "iterations", "pursue", whole=True, count=True
+        ),
+        tol=_number(doc.get("tol", 1e-12), "tol", "pursue"),
         nonneg=nonneg,
-        lipschitz_override=override,
+        lipschitz_override=(
+            None if override is None else _number(override, "lipschitz_override", "pursue")
+        ),
     )
     solver = doc.get("solver", "ista")
     if solver not in ("ista", "fista"):
@@ -236,8 +225,8 @@ def _check_keys(section, allowed, prefix, command):
 
 def _config_section(doc, name, cls=None, **defaults):
     """``doc[name]`` over the fields of ``cls`` and ``defaults``: known keys
-    only, none that fig4 sets itself, each value a finite number (bools are
-    not), whole where the default is an int; returned as the default's type."""
+    only, none that fig4 sets itself, each value read by ``_number``, as a
+    count where the default is an int (seeds: whole only), else a float."""
     if cls is not None:
         defaults.update((f.name, f.default) for f in fields(cls))
     section = doc.get(name, {})
@@ -247,13 +236,8 @@ def _config_section(doc, name, cls=None, **defaults):
         label = f"{name}.{key}"
         if label in ("learn.beta_schedule", "learn.pursuit_config"):  # set in _cmd_fig4
             raise ConfigError(f"fig4 sets config key {label!r} itself")
-        if not _finite_number(value):
-            raise ConfigError(f"fig4 config key {label!r} must be a finite number, got {value!r}")
-        if isinstance(defaults[key], int) and value != int(value):
-            raise ConfigError(f"fig4 config key {label!r} must be a whole number")
-        if isinstance(defaults[key], int) and key != "seed":
-            _check_count(value, label, "fig4")
-        checked[key] = type(defaults[key])(value)
+        whole = isinstance(defaults[key], int)
+        checked[key] = _number(value, label, "fig4", whole=whole, count=whole and key != "seed")
     return checked
 
 
@@ -296,7 +280,10 @@ def _cmd_fig4(args):
 
 
 def _cmd_unfold_sweep(args):
-    unfoldings = tuple(int(u) for u in args.unfolding.split(","))
+    unfoldings = tuple(
+        _number(int(u), "unfolding", "unfold-sweep", whole=True, count=True)
+        for u in args.unfolding.split(",")
+    )
     rows, _ = unfold_sweep(unfoldings=unfoldings, solver=args.solver, seed=args.seed)
     write_sweep_csv(rows, args.out)
     print(json.dumps({"rows": len(rows), "csv": args.out}))
@@ -352,13 +339,7 @@ def main(argv=None):
         return exc.code if exc.code is not None else 2
     try:
         return args.func(args)
-    except (
-        OSError,
-        KeyError,
-        ValueError,
-        ConvergenceError,
-        DivergenceError,
-    ) as exc:
+    except (OSError, KeyError, ValueError, CscbenchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -494,6 +494,7 @@ def apply_adjoint(dictionary, signal):
 
 def mutual_coherence(dictionary):
     """max_{i != j} |<d_i, d_j>| over unit-normalized columns."""
+    _check_dense_size(dictionary.shape[1], dictionary.shape[1])  # the Gram matrix
     mat = to_matrix(dictionary)
     norms = np.linalg.norm(mat, axis=0)
     if np.any(norms == 0):

@@ -1,19 +1,27 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every one derives from ``CscbenchError`` and keeps a builtin base too
+(``ValueError`` or ``RuntimeError``) for callers that catch those.
+"""
 
 
-class ShapeError(ValueError):
+class CscbenchError(Exception):
+    """Base of every error the package raises on purpose."""
+
+
+class ShapeError(CscbenchError, ValueError):
     """Operand shapes are inconsistent with the operation's contract."""
 
 
-class InvalidThresholdError(ValueError):
+class InvalidThresholdError(CscbenchError, ValueError):
     """A (soft) threshold was negative."""
 
 
-class ConfigError(ValueError):
+class ConfigError(CscbenchError, ValueError):
     """A config document names an unknown key or an unknown choice."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(CscbenchError, RuntimeError):
     """An iterative routine ran out of iterations.
 
     Carries the last iterate so callers can inspect or restart.
@@ -24,23 +32,23 @@ class ConvergenceError(RuntimeError):
         self.last_iterate = last_iterate
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(CscbenchError, RuntimeError):
     """A solver produced non-finite intermediates."""
 
 
-class MaterializationError(ValueError):
+class MaterializationError(CscbenchError, ValueError):
     """A dense materialization would exceed the allowed size."""
 
 
-class MatrixSizeError(ValueError):
+class MatrixSizeError(CscbenchError, ValueError):
     """A verification-scale routine was asked for a matrix that is too large."""
 
 
-class DegenerateDictionaryError(ValueError):
+class DegenerateDictionaryError(CscbenchError, ValueError):
     """The dictionary has a zero column (or another degeneracy)."""
 
 
-class BoundInapplicableError(ValueError):
+class BoundInapplicableError(CscbenchError, ValueError):
     """A theoretical bound's precondition is violated; names the offending layer."""
 
     def __init__(self, message, layer=None):
@@ -48,5 +56,5 @@ class BoundInapplicableError(ValueError):
         self.layer = layer
 
 
-class DegenerateClassError(ValueError):
+class DegenerateClassError(CscbenchError, ValueError):
     """A class has no training samples."""

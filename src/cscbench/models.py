@@ -281,6 +281,8 @@ def model_from_config(doc):
     """
     kind = doc.get("model", "msdcsc")
     depth = int(doc["depth"])
+    if depth < 1:
+        raise ShapeError(f"a model needs at least one layer, got depth {depth}")
     width = int(doc["width"])
     kernel_size = int(doc.get("kernel_size", 3))
     seed = int(doc.get("seed", 0))

@@ -147,7 +147,7 @@ def proximal_gradient(
     problem) broadcasts against a code; the prox is max(v - threshold, 0)
     with ``nonneg``, which takes negative thresholds (network biases), else
     the soft threshold. ``init=None`` starts from zero; an ``init`` has the
-    shape of the codes. A non-finite signal or iterate raises
+    shape of the codes. A non-finite signal, gradient step or iterate raises
     ``DivergenceError``. No yielded code is written to afterwards.
     """
     signal = np.asarray(signal, dtype=float)
@@ -169,11 +169,14 @@ def proximal_gradient(
             v += point
         if nonneg:
             v -= threshold
+            low = v.min(initial=0.0)  # a -inf or NaN, before max(., 0) maps -inf to 0
             new = np.maximum(v, 0.0, out=v)
+            # low <= 0 <= the max, so the sum is finite iff both are
+            finite = np.isfinite(low + new.max(initial=0.0))
         else:
             new = soft_threshold(v, threshold)
-        # max(., 0) leaves no -inf, so one max reduction finds a NaN or +inf
-        if not (np.isfinite(new.max(initial=0.0)) if nonneg else np.all(np.isfinite(new))):
+            finite = np.all(np.isfinite(new))
+        if not finite:
             raise DivergenceError("pursuit produced non-finite values")
         yield new, t_k
         point = new

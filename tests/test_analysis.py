@@ -40,13 +40,13 @@ from cscbench.pursuit import LassoProblem, lasso_objective
 
 
 def test_lemma1_threshold_orthonormal_is_infinite():
-    assert lemma1_threshold(np.eye(4)) == float("inf")
+    assert lemma1_threshold(mutual_coherence(np.eye(4))) == float("inf")
 
 
 def test_lemma1_threshold_hand_coherence():
     # columns at 45 degrees: mu = 1/sqrt(2), threshold = (1 + sqrt(2)) / 2
     mat = np.array([[1.0, 1.0 / np.sqrt(2.0)], [0.0, 1.0 / np.sqrt(2.0)]])
-    assert lemma1_threshold(mat) == pytest.approx(
+    assert lemma1_threshold(mutual_coherence(mat)) == pytest.approx(
         0.5 * (1.0 + np.sqrt(2.0)), abs=1e-12
     )
 

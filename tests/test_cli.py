@@ -7,10 +7,10 @@ import json
 import tempfile
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from cscbench import cli
+from cscbench import cli, dictionary
 from cscbench.cli import main
 from cscbench.errors import ConvergenceError
 
@@ -136,8 +136,8 @@ def test_pursue_divergence_exits_two_without_traceback(tmp_path, capsys):
     "override, message",
     [
         ({"solver": "fistaa"}, "error: unknown solver 'fistaa'; expected 'ista' or 'fista'\n"),
-        ({"beta": float("nan")}, "error: beta must be finite\n"),
-        ({"tol": float("nan")}, "error: tol must be finite and positive\n"),
+        ({"beta": float("nan")}, "error: pursue config key 'beta' must be a finite number, got nan\n"),
+        ({"tol": float("nan")}, "error: pursue config key 'tol' must be a finite number, got nan\n"),
         (
             {"nonneg": "false"},
             "error: pursue config key 'nonneg' must be true or false, got 'false'\n",
@@ -273,33 +273,63 @@ ANY_VALUE = _json_values(
 )
 # small numbers, or numbers far beyond the count and array bounds: the test
 # checks type and bound handling, not memory or run time
-SIZE_VALUE = _json_values(
+SIZE_NUMBER = (
     st.integers(-2, 12) | st.floats(-12.0, 12.0) | st.just(float("nan"))
     | st.sampled_from([10**300, -(10**300), 1e300])
 )
+SIZE_VALUE = SIZE_NUMBER | _json_values(SIZE_NUMBER)  # a bare number half the time
+
+
+def _swap_one_value(data, doc, size_fields):
+    """``doc`` with one value, or the whole document, replaced by a drawn one:
+    SIZE_VALUE under a key of ``size_fields``, else ANY_VALUE."""
+    doc = copy.deepcopy(doc)
+    path = data.draw(st.sampled_from(list(_positions(doc))))
+    is_size = any(key in size_fields for key in path if isinstance(key, str))
+    value = data.draw(SIZE_VALUE if is_size else ANY_VALUE)
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _run_config(command, doc, out):
+    """``main([command, --config, --out])`` on ``doc`` in a fresh directory;
+    returns the exit code and stderr."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        with open(f"{tmp}/config.json", "w") as fh:
+            json.dump(doc, fh)
+        code = main([command, "--config", f"{tmp}/config.json", "--out", f"{tmp}/{out}"])
+    return code, err.getvalue()
 
 
 @given(st.data())
 def test_pursue_fuzzed_readme_document_exits_cleanly(data):
-    doc = copy.deepcopy(README_PURSUE)
-    path = data.draw(st.sampled_from(list(_positions(doc))))
-    is_size = any(key in SIZE_FIELDS for key in path if isinstance(key, str))
-    value = data.draw(SIZE_VALUE if is_size else ANY_VALUE)
-    if path:
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-    else:
-        doc = value
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
-        with open(f"{tmp}/problem.json", "w") as fh:
-            json.dump(doc, fh)
-        code = main(["pursue", "--config", f"{tmp}/problem.json", "--out", f"{tmp}/t.csv"])
+    code, err = _run_config("pursue", _swap_one_value(data, README_PURSUE, SIZE_FIELDS), "t.csv")
     assert code in (0, 2)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+# fig4 fields whose value sets an array size or a loop count
+FIG4_SIZE_FIELDS = {"n_classes", "dim", "train_per_class", "test_total", "outer_iterations",
+                    "probe_size", "probe_iterations", "objective_iterations",
+                    "pursuit_iterations", "batch_size", "width", "depth"}
+
+
+@given(st.data())
+def test_fig4_fuzzed_tiny_document_exits_cleanly(data):
+    doc = _swap_one_value(data, TINY_FIG4, FIG4_SIZE_FIELDS)
+    # an empty document or section leaves its keys at the full-size defaults:
+    # a run of seconds to minutes that checks no input handling
+    assume(doc != {} and not (isinstance(doc, dict) and {} in doc.values()))
+    code, err = _run_config("fig4", doc, "out")
+    assert code in (0, 2)
+    assert "Traceback" not in err
 
 
 def test_unfold_sweep_negative_unfolding_exits_two(tmp_path, capsys):
@@ -308,6 +338,48 @@ def test_unfold_sweep_negative_unfolding_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["unfold-sweep", "--unfolding", "0,100000000"],
+            "unfold-sweep config key 'unfolding' must be at most 1000000, got 100000000",
+        ),
+        (
+            ["coherence", "--kernel-size", "3", "--input-shape", "10", "--width", "100000000"],
+            "coherence config key 'width' must be at most 1000000, got 100000000",
+        ),
+        (  # D has 4000 x 4000 entries; its Gram matrix is the one past the limit
+            ["coherence", "--kernel-size", "3", "--input-shape", "4000", "--padding", "same"],
+            "dense matrix would have 16000000 entries (limit 10000000)",
+        ),
+    ],
+    ids=["unfold-sweep-depth", "coherence-width", "coherence-gram"],
+)
+def test_oversized_run_exits_two(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert main(argv + (["--out", str(out)] if argv[0] == "unfold-sweep" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_coherence_builds_one_dense_matrix(monkeypatch, capsys):
+    calls = []
+    to_matrix = dictionary.to_matrix
+
+    def counted(d):
+        calls.append(d)
+        return to_matrix(d)
+
+    monkeypatch.setattr(dictionary, "to_matrix", counted)
+    argv = ["coherence", "--kernel-size", "2x2", "--input-shape", "4x4", "--seed", "1"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["mu"] > 0.0
+    assert len(calls) == 1
 
 
 def test_convergence_error_exits_two(monkeypatch, capsys):
@@ -341,7 +413,7 @@ def test_fig4_tiny_config(tmp_path, capsys):
         ("dataset", "n_classes", "x", "fig4 config key 'dataset.n_classes' must be a finite number, got 'x'"),
         ("learn", "dict_step", "0.3", "fig4 config key 'learn.dict_step' must be a finite number, got '0.3'"),
         ("dataset", "noise_sigma", float("nan"), "fig4 config key 'dataset.noise_sigma' must be a finite number, got nan"),
-        ("model", "width", 2.5, "fig4 config key 'model.width' must be a whole number"),
+        ("model", "width", 2.5, "fig4 config key 'model.width' must be a whole number, got 2.5"),
         ("learn", "pursuit_iterations", True, "fig4 config key 'learn.pursuit_iterations' must be a finite number, got True"),
         pytest.param(
             "dataset", "seed", 10**400,

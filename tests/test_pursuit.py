@@ -337,10 +337,13 @@ def test_proximal_gradient_takes_negative_nonneg_thresholds(rng):
 def test_proximal_gradient_raises_on_non_finite_iterates(rng):
     mat = rng.standard_normal((5, 7))
     signal = rng.standard_normal(5)
-    for nonneg in (False, True):  # the nonneg prox is checked by one max reduction
-        iterates = proximal_gradient(mat, signal, 0.0, 1e300, nonneg=nonneg)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
-            last_iterate(iterates, 10)
+    # positive D and X overflow every entry of the step to -inf, which
+    # max(v - threshold, 0) alone would turn into a zero code
+    for mat, signal in ((mat, signal), (np.abs(mat), np.abs(signal))):
+        for nonneg, momentum in itertools.product((False, True), (False, True)):
+            iterates = proximal_gradient(mat, signal, 0.0, 1e300, momentum, nonneg)
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
+                last_iterate(iterates, 10)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
