@@ -17,7 +17,6 @@ from . import pursuit
 from .dictionary import (
     SAME,
     ConvDictionary,
-    ConvKernel,
     MSDDictionary,
     layout_for,
     mutual_coherence,
@@ -324,21 +323,15 @@ def planted_lemma2_instance(seed, eps0=0.1):
     rng = np.random.default_rng(seed)
     k1a, k1b = _orthonormal_pair(rng)
     d1 = ConvDictionary(
-        [ConvKernel(k1a.reshape(2, 1), 2), ConvKernel(k1b.reshape(2, 1), 2)],
-        input_shape=(4, 1),
-        padding="valid",
+        np.stack([k1a, k1b])[..., None], input_shape=(4, 1), padding="valid", dilation=2
     )
     taps = rng.standard_normal((2, 2, 2))
-    flat = taps.reshape(2, 4)
+    flat = taps.reshape(2, 4)  # a view: the steps below act on the taps
     # Gram-Schmidt so the two single-position columns are orthonormal
     flat[0] /= np.linalg.norm(flat[0])
     flat[1] -= (flat[1] @ flat[0]) * flat[0]
     flat[1] /= np.linalg.norm(flat[1])
-    d2 = ConvDictionary(
-        [ConvKernel(flat[0].reshape(2, 2), 1), ConvKernel(flat[1].reshape(2, 2), 1)],
-        input_shape=(2, 2),
-        padding="valid",
-    )
+    d2 = ConvDictionary(taps, input_shape=(2, 2), padding="valid")
     gamma2 = rng.uniform(1.0, 2.0, size=2) * rng.choice([-1.0, 1.0], size=2)
     gamma1 = d2.apply(gamma2)
     clean = d1.apply(gamma1)
@@ -381,9 +374,9 @@ def check_dilation_coherence(seed=0, instances=100):
     wins = 0
     zero_ok = True
     for _ in range(instances):
-        taps = rng.standard_normal((2, 2, 1))
-        d1 = ConvDictionary([ConvKernel(taps, 1)], (4, 4, 1), "valid")
-        d2 = ConvDictionary([ConvKernel(taps, 2)], (4, 4, 1), "valid")
+        taps = rng.standard_normal((1, 2, 2, 1))
+        d1 = ConvDictionary(taps, (4, 4, 1), "valid", dilation=1)
+        d2 = ConvDictionary(taps, (4, 4, 1), "valid", dilation=2)
         mu1, mu2 = mutual_coherence(d1), mutual_coherence(d2)
         zero_ok = zero_ok and mu2 == 0.0
         if mu1 > mu2:

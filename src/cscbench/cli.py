@@ -77,6 +77,7 @@ MAX_COUNT = 1_000_000
 PURSUE_KEYS = ("dictionary", "signal", "beta", "iterations", "tol", "nonneg",
                "lipschitz_override", "solver")
 RANDOM_KEYS = ("input_shape", "kernel_size", "width", "dilation", "padding", "seed")
+SERIALIZED_KEYS = ("family", "kernels", "dilation", "input_shape", "padding")
 
 
 def _number(value, key, command, whole=False, count=False):
@@ -107,6 +108,21 @@ def _shape(value, key, command):
     )
 
 
+def _taps(value, key, command):
+    """A nonempty JSON list, nested to any depth, of finite numbers whose
+    entries at each level share one shape, as a float array."""
+    if not (isinstance(value, list) and value):
+        raise ConfigError(f"{command} config key {key!r} must be a nonempty list, got {value!r}")
+    entries = [
+        _taps(v, f"{key}[{i}]", command) if isinstance(v, list)
+        else _number(v, f"{key}[{i}]", command)
+        for i, v in enumerate(value)
+    ]
+    if len({np.shape(e) for e in entries}) > 1:
+        raise ConfigError(f"{command} config key {key!r} must hold entries of one shape")
+    return np.array(entries)
+
+
 def _check_entries(input_shape, kernel_spatial, width, dilation, command, batch=1):
     """Reject a dictionary whose pursuit over ``batch`` signals would build an
     array of more than MAX_DENSE_ENTRIES entries: the signal windows or the
@@ -128,7 +144,7 @@ def _random_dictionary(spec, label, command):
     def count(key, value):
         return _number(value, label + key, command, whole=True, count=True)
 
-    _check_keys(spec, RANDOM_KEYS, label, command)
+    _check_keys(spec, RANDOM_KEYS, label, command, required=("input_shape", "kernel_size", "width"))
     input_shape = _shape(spec["input_shape"], label + "input_shape", command)
     kernel_size = spec["kernel_size"]
     kernel_spatial = (
@@ -149,14 +165,25 @@ def _random_dictionary(spec, label, command):
 
 
 def _dictionary_from_config(doc):
+    """A ``random`` spec's bank, or a serialized dictionary (keys
+    SERIALIZED_KEYS) read with the same checks."""
     if not isinstance(doc, dict):
         raise ConfigError("pursue config key 'dictionary' must be an object")
     if "random" in doc:
+        _check_keys(doc, ("random",), "dictionary.", "pursue")
         return _random_dictionary(doc["random"], "dictionary.random.", "pursue")
-    try:
-        dictionary = dictionary_from_json(doc)
-    except TypeError as exc:  # a serialized dictionary with wrongly typed values
-        raise ConfigError(f"pursue config key 'dictionary' is malformed: {exc}") from exc
+    _check_keys(doc, SERIALIZED_KEYS, "dictionary.", "pursue",
+                required=("kernels", "dilation", "input_shape"))
+    if doc.get("family", "conv") not in ("conv", "msd"):
+        raise ConfigError(
+            f"pursue config key 'dictionary.family' must be 'conv' or 'msd', got {doc['family']!r}"
+        )
+    dictionary = dictionary_from_json(dict(
+        doc,
+        kernels=_taps(doc["kernels"], "dictionary.kernels", "pursue"),
+        dilation=_number(doc["dilation"], "dictionary.dilation", "pursue", whole=True, count=True),
+        input_shape=_shape(doc["input_shape"], "dictionary.input_shape", "pursue"),
+    ))
     conv = getattr(dictionary, "conv", dictionary)
     _check_entries(conv.input_shape, conv.kernel_spatial, conv.width, conv.dilation, "pursue")
     return dictionary
@@ -165,7 +192,7 @@ def _dictionary_from_config(doc):
 def _cmd_pursue(args):
     with open(args.config) as fh:
         doc = json.load(fh)
-    _check_keys(doc, PURSUE_KEYS, "", "pursue")
+    _check_keys(doc, PURSUE_KEYS, "", "pursue", required=("dictionary", "signal"))
     dictionary = _dictionary_from_config(doc["dictionary"])
     signal_spec = doc["signal"]
     if isinstance(signal_spec, dict):
@@ -215,12 +242,15 @@ def _cmd_pursue(args):
     return 0
 
 
-def _check_keys(section, allowed, prefix, command):
+def _check_keys(section, allowed, prefix, command, required=()):
     if not isinstance(section, dict):
         raise ConfigError(f"{command} config {prefix or 'document'} must be an object")
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown {command} config key {prefix + key!r}")
+    for key in required:
+        if key not in section:
+            raise ConfigError(f"{command} config key {prefix + key!r} is required")
 
 
 def _config_section(doc, name, cls=None, **defaults):
@@ -271,7 +301,9 @@ def _cmd_fig4(args):
     )
     spec = SyntheticDatasetSpec(**dataset_doc)
     _check_fig4_entries(spec, learn_config, **model)
-    rows = reconstruction_experiment(dataset_spec=spec, learn_config=learn_config, **model)
+    # training checks its kernels and pursuits and raises DivergenceError itself
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = reconstruction_experiment(dataset_spec=spec, learn_config=learn_config, **model)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "fig4.csv")
     write_experiment_csv(rows, out_path)

@@ -56,6 +56,30 @@ def _as_batch(arr, shape, what):
     return arr, True
 
 
+def _checked_taps(taps, dilation):
+    """A bank's taps (width, *k_spatial, c_in) as a read-only C-ordered float
+    copy, after the one check every kernel and bank goes through."""
+    taps = np.array(taps, dtype=float, order="C")
+    if taps.ndim < 3:
+        raise ShapeError("kernel taps need at least (k, c_in) dimensions")
+    if min(taps.shape) < 1:
+        raise ShapeError("kernel dimensions must all be >= 1")
+    if dilation < 1 or dilation != int(dilation):
+        raise ShapeError("dilation must be a positive integer")
+    if not np.all(np.isfinite(taps)):
+        raise ShapeError("kernel taps must be finite")
+    taps.flags.writeable = False
+    return taps
+
+
+def kernel_norms(taps):
+    """Per-kernel Euclidean norms of taps (width, ...), shaped (width, 1, ...)
+    to divide them: one BLAS dot per kernel, bitwise equal to
+    ``np.linalg.norm`` of each kernel, which ``norm(..., axis=1)`` is not."""
+    flat = taps.reshape(len(taps), math.prod(taps.shape[1:]))
+    return np.sqrt(np.vecdot(flat, flat)).reshape(-1, *[1] * (taps.ndim - 1))
+
+
 @dataclass(frozen=True)
 class ConvKernel:
     """One dilated kernel: taps of shape (*k_spatial, c_in), dilation s >= 1."""
@@ -64,69 +88,55 @@ class ConvKernel:
     dilation: int = 1
 
     def __post_init__(self):
-        taps = np.asarray(self.taps, dtype=float)
-        if taps.ndim < 2:
-            raise ShapeError("kernel taps need at least (k, c_in) dimensions")
-        if min(taps.shape) < 1:
-            raise ShapeError("kernel dimensions must all be >= 1")
-        if self.dilation < 1:
-            raise ShapeError("dilation must be a positive integer")
-        if not np.all(np.isfinite(taps)):
-            raise ShapeError("kernel taps must be finite")
-        taps = taps.copy()
-        taps.flags.writeable = False
-        object.__setattr__(self, "taps", taps)
-
-    @property
-    def spatial_shape(self):
-        return self.taps.shape[:-1]
-
-    @property
-    def channels_in(self):
-        return self.taps.shape[-1]
-
-    @property
-    def dilated_extent(self):
-        return tuple(self.dilation * (k - 1) + 1 for k in self.spatial_shape)
+        taps = _checked_taps(np.asarray(self.taps, dtype=float)[None], self.dilation)
+        object.__setattr__(self, "taps", taps[0])
 
 
 class ConvDictionary:
-    """A bank of kernels sharing shape and dilation over a fixed input grid."""
+    """A bank of kernels sharing shape and dilation over a fixed input grid.
 
-    def __init__(self, kernels, input_shape, padding=VALID):
-        kernels = [
-            k if isinstance(k, ConvKernel) else ConvKernel(np.asarray(k, float))
-            for k in kernels
-        ]
-        if not kernels:
-            raise ShapeError("a dictionary needs at least one kernel")
-        ref = kernels[0]
-        for k in kernels[1:]:
-            if k.spatial_shape != ref.spatial_shape or k.channels_in != ref.channels_in:
-                raise ShapeError("all kernels must share the same tap shape")
-            if k.dilation != ref.dilation:
+    ``kernels`` is the taps array (width, *k_spatial, c_in), or a sequence of
+    per-kernel taps or ``ConvKernel``s of one shape. ``dilation`` applies to
+    plain taps; a ``ConvKernel`` brings its own, and all must agree. The
+    bank keeps one read-only ``taps`` array and one ``dilation``.
+    """
+
+    def __init__(self, kernels, input_shape, padding=VALID, dilation=1):
+        if not isinstance(kernels, np.ndarray):
+            kernels = list(kernels)
+            if not kernels:
+                raise ShapeError("a dictionary needs at least one kernel")
+            dilations = {k.dilation if isinstance(k, ConvKernel) else dilation for k in kernels}
+            if len(dilations) > 1:
                 raise ShapeError("all kernels must share the same dilation")
+            (dilation,) = dilations
+            kernels = [
+                k.taps if isinstance(k, ConvKernel) else np.asarray(k, float) for k in kernels
+            ]
+            if len({k.shape for k in kernels}) > 1:
+                raise ShapeError("all kernels must share the same tap shape")
+        self.taps = _checked_taps(kernels, dilation)
+        self.dilation = int(dilation)
         input_shape = tuple(int(d) for d in input_shape)
-        if len(input_shape) != len(ref.spatial_shape) + 1:
+        if len(input_shape) != len(self.kernel_spatial) + 1:
             raise ShapeError(
                 f"input_shape {input_shape} does not match kernel rank "
-                f"{len(ref.spatial_shape)} (+1 channel axis)"
+                f"{len(self.kernel_spatial)} (+1 channel axis)"
             )
-        if input_shape[-1] != ref.channels_in:
+        if input_shape[-1] != self.taps.shape[-1]:
             raise ShapeError(
                 f"input has {input_shape[-1]} channels but kernels expect "
-                f"{ref.channels_in}"
+                f"{self.taps.shape[-1]}"
             )
         if padding not in (VALID, SAME):
             raise ShapeError(f"unknown padding mode {padding!r}")
         if padding == VALID:
-            for dim, ext in zip(input_shape, ref.dilated_extent):
+            for dim, ext in zip(input_shape, self.dilated_extent):
                 if ext > dim:
                     raise ShapeError(
                         "dilated kernel extent does not fit the input under "
                         "valid padding"
                     )
-        self.kernels = tuple(kernels)
         self.input_shape = input_shape
         self.padding = padding
 
@@ -134,15 +144,11 @@ class ConvDictionary:
 
     @property
     def width(self):
-        return len(self.kernels)
-
-    @property
-    def dilation(self):
-        return self.kernels[0].dilation
+        return len(self.taps)
 
     @property
     def kernel_spatial(self):
-        return self.kernels[0].spatial_shape
+        return self.taps.shape[1:-1]
 
     @property
     def channels(self):
@@ -154,7 +160,7 @@ class ConvDictionary:
 
     @cached_property
     def dilated_extent(self):
-        return self.kernels[0].dilated_extent
+        return tuple(self.dilation * (k - 1) + 1 for k in self.kernel_spatial)
 
     @cached_property
     def out_spatial(self):
@@ -195,8 +201,8 @@ class ConvDictionary:
         return (self.rows, self.cols)
 
     def kernel_array(self):
-        """Kernels stacked as an array of shape (width, *k_spatial, c_in)."""
-        return np.stack([k.taps for k in self.kernels])
+        """A writable copy of the taps, shape (width, *k_spatial, c_in)."""
+        return self.taps.copy()
 
     @cached_property
     def lmax_bound(self):
@@ -210,7 +216,7 @@ class ConvDictionary:
         give K(-w) = conj K(w), so the last axis needs only its first half.
         Cached: a dictionary is immutable.
         """
-        spec = self.kernel_array()  # (width, *k_spatial, c_in)
+        spec = self.taps  # (width, *k_spatial, c_in)
         last = len(self.kernel_spatial) - 1
         for axis, (out, ext, k) in enumerate(
             zip(self.out_spatial, self.dilated_extent, self.kernel_spatial)
@@ -231,9 +237,7 @@ class ConvDictionary:
     @cached_property
     def _kernel_matrix(self):
         """The taps as (width, n_taps * c_in), tap-major like the windows."""
-        mat = self.kernel_array().reshape(self.width, -1)
-        mat.flags.writeable = False
-        return mat
+        return self.taps.reshape(self.width, -1)  # a read-only view
 
     @cached_property
     def _tap_table(self):
@@ -310,7 +314,7 @@ class ConvDictionary:
     def to_json_dict(self):
         return {
             "family": "conv",
-            "kernels": [k.taps.tolist() for k in self.kernels],
+            "kernels": self.taps.tolist(),
             "dilation": self.dilation,
             "input_shape": list(self.input_shape),
             "padding": self.padding,
@@ -318,11 +322,12 @@ class ConvDictionary:
 
     @classmethod
     def from_json_dict(cls, doc):
-        kernels = [
-            ConvKernel(np.asarray(taps, dtype=float), dilation=int(doc["dilation"]))
-            for taps in doc["kernels"]
-        ]
-        return cls(kernels, tuple(doc["input_shape"]), doc.get("padding", VALID))
+        return cls(
+            np.asarray(doc["kernels"], dtype=float),
+            doc["input_shape"],
+            doc.get("padding", VALID),
+            dilation=doc["dilation"],
+        )
 
 
 class MSDDictionary:
@@ -418,10 +423,6 @@ def load_dictionary(path):
         return dictionary_from_json(json.load(fh))
 
 
-def export_matrix_csv(matrix, path):
-    np.savetxt(path, np.asarray(matrix, dtype=float), delimiter=",", fmt="%.17g")
-
-
 # -- dense materialization ---------------------------------------------------
 
 
@@ -472,9 +473,9 @@ def to_matrix(dictionary):
     conv = getattr(dictionary, "conv", dictionary)
     mat = np.zeros(dictionary.shape)
     np.fill_diagonal(mat[:, : mat.shape[1] - conv.cols], 1.0)  # [I | D]'s I; no-op for D
-    block, taps = _conv_block(mat, conv), conv.kernel_array()
+    block = _conv_block(mat, conv)
     for t, entries in _tap_entries(conv):
-        block[entries] = taps[(slice(None), *t)].T  # (c, width) at every position
+        block[entries] = conv.taps[(slice(None), *t)].T  # (c, width) at every position
     return mat
 
 
@@ -550,12 +551,11 @@ def random_dictionary(
     unit_norm=True,
 ):
     """Seeded Gaussian kernel bank, optionally normalized to unit tap norm."""
-    rng = np.random.default_rng(seed)
-    c_in = input_shape[-1]
-    kernels = []
-    for _ in range(width):
-        taps = rng.standard_normal(tuple(kernel_spatial) + (c_in,))
-        if unit_norm:
-            taps = taps / np.linalg.norm(taps)
-        kernels.append(ConvKernel(taps, dilation=dilation))
-    return ConvDictionary(kernels, input_shape, padding)
+    if width < 1:
+        raise ShapeError("a dictionary needs at least one kernel")
+    taps = np.random.default_rng(seed).standard_normal(
+        (width, *kernel_spatial, input_shape[-1])
+    )
+    if unit_norm:
+        taps /= kernel_norms(taps)
+    return ConvDictionary(taps, input_shape, padding, dilation=dilation)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import SyntheticDatasetSpec, classify, generate_dataset
-from .dictionary import ConvDictionary, ConvKernel, apply
+from .dictionary import ConvDictionary, apply, kernel_norms
 from .errors import DivergenceError, ShapeError
 from .models import (
     LayerParams,
@@ -154,17 +154,16 @@ def _fraction_beta(bank, signals, rho):
     return float(rho * np.max(np.abs(bank.apply_adjoint(signals))))
 
 
-def _update_kernels(layer, grads, step):
+def _update_kernels(bank, grads, step):
     """Gradient step on the kernel taps, then unit renormalization."""
-    conv = layer.kernel_bank
-    kernels = []
-    for kernel, grad in zip(conv.kernels, grads):
-        taps = kernel.taps - step * grad
-        norm = np.linalg.norm(taps)
-        if norm == 0.0:
-            raise DivergenceError("kernel collapsed to zero during learning")
-        kernels.append(ConvKernel(taps / norm, dilation=kernel.dilation))
-    return ConvDictionary(kernels, conv.input_shape, conv.padding)
+    taps = bank.taps - step * grads
+    norms = kernel_norms(taps)  # non-finite iff some tap is, or the squares overflow
+    if not np.all(np.isfinite(norms)):
+        raise DivergenceError("kernel taps diverged during learning")
+    if np.any(norms == 0.0):
+        raise DivergenceError("kernel collapsed to zero during learning")
+    taps /= norms
+    return ConvDictionary(taps, bank.input_shape, bank.padding, dilation=bank.dilation)
 
 
 def learn_dictionaries(model, dataset, config):
@@ -203,7 +202,7 @@ def learn_dictionaries(model, dataset, config):
                 # d/dF of the mean 0.5||X - D G||^2; an MSD identity block has no taps
                 residual = signals - apply(dictionary, codes)
                 grads = -bank.tap_correlation(residual, codes[:, -bank.cols :]) / len(codes)
-                layer.kernel_bank = _update_kernels(layer, grads, config.dict_step)
+                layer.kernel_bank = _update_kernels(bank, grads, config.dict_step)
             signals = _next_input(codes, layer, msd)
 
         # probe: pursue the whole chain on held-out signals, reconstruct

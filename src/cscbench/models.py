@@ -12,7 +12,6 @@ dictionaries is produced only at the dictionary boundary.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,58 +325,3 @@ def model_from_config(doc):
             solver=doc.get("solver", "ista"),
         )
     raise ShapeError(f"unknown model kind {kind!r}")
-
-
-def _layer_to_json(layer):
-    return {
-        "kernel_bank": layer.kernel_bank.to_json_dict(),
-        "bias": layer.bias.tolist(),
-        "scale": layer.scale,
-        "passthrough_bias": layer.passthrough_bias,
-    }
-
-
-def _layer_from_json(doc):
-    return LayerParams(
-        ConvDictionary.from_json_dict(doc["kernel_bank"]),
-        bias=np.asarray(doc["bias"], dtype=float),
-        scale=doc.get("scale"),
-        passthrough_bias=float(doc.get("passthrough_bias", 0.0)),
-    )
-
-
-def model_to_json(model):
-    if not isinstance(model, (MLCSCModel, ResCSCModel, MSDCSCModel)):
-        raise ShapeError(f"cannot serialize {type(model).__name__}")
-    doc = {"layers": [_layer_to_json(l) for l in model.layers]}
-    if isinstance(model, MLCSCModel):
-        doc["model"] = "mlcsc"
-    elif isinstance(model, ResCSCModel):
-        doc.update(model="rescsc", variant=model.variant, operator=model.operator)
-    elif isinstance(model, MSDCSCModel):
-        doc.update(model="msdcsc", unfolding=model.unfolding, solver=model.solver)
-    return doc
-
-
-def model_from_json(doc):
-    layers = [_layer_from_json(l) for l in doc["layers"]]
-    kind = doc["model"]
-    if kind == "mlcsc":
-        return MLCSCModel(layers)
-    if kind == "rescsc":
-        return ResCSCModel(
-            layers, variant=doc["variant"], operator=doc.get("operator", NONNEG)
-        )
-    if kind == "msdcsc":
-        return MSDCSCModel(layers, unfolding=doc["unfolding"], solver=doc["solver"])
-    raise ShapeError(f"unknown model kind {kind!r}")
-
-
-def save_model(model, path):
-    with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh, indent=2)
-
-
-def load_model(path):
-    with open(path) as fh:
-        return model_from_json(json.load(fh))

@@ -15,7 +15,7 @@ from .errors import (
     ShapeError,
 )
 
-JACOBI_MAX_DIM = 512  # rows limit of symmetric_eigs
+EIGS_MAX_DIM = 512  # rows limit of symmetric_eigs
 
 
 def _check_threshold(b, shape):
@@ -93,15 +93,15 @@ def spectral_lmax(op, dim, tol=1e-10, max_iter=10_000, seed=0):
 def symmetric_eigs(mat, tol=1e-10):
     """All eigenvalues of a small symmetric matrix, ascending (LAPACK).
 
-    Reserved for verification-scale matrices (<= JACOBI_MAX_DIM rows);
+    Reserved for verification-scale matrices (<= EIGS_MAX_DIM rows);
     larger requests are rejected rather than silently slow.
     """
     a = np.array(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] > JACOBI_MAX_DIM:
+    if a.shape[0] > EIGS_MAX_DIM:
         raise MatrixSizeError(
-            f"symmetric eigensolver is limited to {JACOBI_MAX_DIM}x{JACOBI_MAX_DIM}"
+            f"symmetric eigensolver is limited to {EIGS_MAX_DIM}x{EIGS_MAX_DIM}"
         )
     if not np.all(np.isfinite(a)):  # LAPACK would return a wrong, finite spectrum
         raise ShapeError("matrix has non-finite entries")

@@ -86,7 +86,7 @@ def test_criterion_2_plain_stack_equals_conv_relu_pipeline():
         for layer, code in zip(model.layers, codes):
             want = _naive_conv_relu_layer(
                 current,
-                [k.taps for k in layer.kernel_bank.kernels],
+                layer.kernel_bank.taps,
                 layer.kernel_bank.dilation,
                 layer.effective_scale(),
                 layer.bias,

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import assume, given
@@ -103,6 +104,10 @@ def test_pursue_writes_trace(tmp_path, capsys):
 
 README_RANDOM = {"input_shape": [100, 1], "kernel_size": 3, "width": 4,
                  "dilation": 1, "padding": "same", "seed": 0}
+# an [I | D] document as save_dictionary writes it: one 2-tap kernel over
+# 2 channels on a length-20 grid
+SERIALIZED_MSD = {"family": "msd", "kernels": [[[0.6, 0.0], [0.0, 0.8]]], "dilation": 2,
+                  "input_shape": [20, 2], "padding": "same"}
 README_PURSUE = {
     "dictionary": {"random": README_RANDOM},
     "signal": {"seed": 1},
@@ -120,6 +125,21 @@ def test_pursue_readme_example(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["iterations_run"] == 200
     assert doc["lipschitz"] > 0.0
+
+
+def test_pursue_serialized_dictionary_matches_its_random_spec(tmp_path, capsys):
+    # save_dictionary's document of the README bank runs the README problem
+    # byte for byte; SERIALIZED_MSD, the base of the bad-config cases, runs
+    bank = dictionary.random_dictionary((100, 1), (3,), 4, padding="same", seed=0)
+    traces = []
+    for spec in ({"random": README_RANDOM}, bank.to_json_dict(), SERIALIZED_MSD):
+        cfg_path, out_path = tmp_path / "problem.json", tmp_path / "trace.csv"
+        signal = {"seed": 1} if spec is not SERIALIZED_MSD else [0.5] * 40
+        cfg_path.write_text(json.dumps(dict(README_PURSUE, dictionary=spec, signal=signal)))
+        assert main(["pursue", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+        capsys.readouterr()
+        traces.append(out_path.read_bytes())
+    assert traces[0] == traces[1]
 
 
 def test_pursue_divergence_exits_two_without_traceback(tmp_path, capsys):
@@ -191,8 +211,8 @@ def test_pursue_divergence_exits_two_without_traceback(tmp_path, capsys):
         ({"solver": ["ista"]}, "error: unknown solver ['ista']; expected 'ista' or 'fista'\n"),
         ({"dictionary": "random"}, "error: pursue config key 'dictionary' must be an object\n"),
         (
-            {"dictionary": {"family": "msd", "kernels": 3}},
-            "error: pursue config key 'dictionary' is malformed: 'int' object is not iterable\n",
+            {"dictionary": dict(SERIALIZED_MSD, kernels=3)},
+            "error: pursue config key 'dictionary.kernels' must be a nonempty list, got 3\n",
         ),
         (
             {"signal": ["1.5", "2", "0.5"]},
@@ -231,9 +251,53 @@ def test_pursue_divergence_exits_two_without_traceback(tmp_path, capsys):
             "error: pursue config needs an array of 16000800 entries (limit 10000000)\n",
         ),
         (  # a serialized dictionary's input grid: the [I | D] code of 10**8 positions
-            {"dictionary": {"family": "msd", "kernels": [[[1.0]]], "dilation": 1,
-                            "input_shape": [10**8, 1], "padding": "same"}},
+            {"dictionary": {"family": "msd", "kernels": [[[[1.0]]]], "dilation": 1,
+                            "input_shape": [10**4, 10**4, 1], "padding": "same"}},
             "error: pursue config needs an array of 200000000 entries (limit 10000000)\n",
+        ),
+        (
+            {"dictionary": dict(SERIALIZED_MSD, dilation=1.5)},
+            "error: pursue config key 'dictionary.dilation' must be a whole number, got 1.5\n",
+        ),
+        (
+            {"dictionary": dict(SERIALIZED_MSD, dilation=True)},
+            "error: pursue config key 'dictionary.dilation' must be a finite number, got True\n",
+        ),
+        (
+            {"dictionary": dict(SERIALIZED_MSD, input_shape=[20.7, 2])},
+            "error: pursue config key 'dictionary.input_shape[0]' must be a whole number, "
+            "got 20.7\n",
+        ),
+        (
+            {"dictionary": dict(SERIALIZED_MSD, family="msdd")},
+            "error: pursue config key 'dictionary.family' must be 'conv' or 'msd', got 'msdd'\n",
+        ),
+        (
+            {"dictionary": dict(SERIALIZED_MSD, kernel=[[[1.0, 0.0]]])},
+            "error: unknown pursue config key 'dictionary.kernel'\n",
+        ),
+        (
+            {"dictionary": dict(SERIALIZED_MSD, kernels=[[["1.0", 0.0], [0.0, 0.8]]])},
+            "error: pursue config key 'dictionary.kernels[0][0][0]' must be a finite number, "
+            "got '1.0'\n",
+        ),
+        (
+            {"dictionary": dict(SERIALIZED_MSD, kernels=[[[0.6, 0.0], [0.0, 0.8]], [[0.5, 0.5]]])},
+            "error: pursue config key 'dictionary.kernels' must hold entries of one shape\n",
+        ),
+        (
+            {"dictionary": dict(SERIALIZED_MSD, random=README_RANDOM)},
+            "error: unknown pursue config key 'dictionary.family'\n",
+        ),
+        (
+            {"dictionary": {k: v for k, v in SERIALIZED_MSD.items() if k != "input_shape"}},
+            "error: pursue config key 'dictionary.input_shape' is required\n",
+        ),
+        pytest.param(
+            {"dictionary": dict(SERIALIZED_MSD, kernels=[[[0.6, 0.0], [0.0, 10**400]]])},
+            f"error: pursue config key 'dictionary.kernels[0][1][1]' must be a finite number, "
+            f"got {10**400}\n",
+            id="serialized-tap-int-beyond-float-range",
         ),
     ],
 )
@@ -311,6 +375,14 @@ def _run_config(command, doc, out):
 @given(st.data())
 def test_pursue_fuzzed_readme_document_exits_cleanly(data):
     code, err = _run_config("pursue", _swap_one_value(data, README_PURSUE, SIZE_FIELDS), "t.csv")
+    assert code in (0, 2)
+    assert "Traceback" not in err
+
+
+@given(st.data())
+def test_pursue_fuzzed_serialized_document_exits_cleanly(data):
+    doc = dict(README_PURSUE, dictionary=SERIALIZED_MSD, signal={"seed": 1})
+    code, err = _run_config("pursue", _swap_one_value(data, doc, SIZE_FIELDS), "t.csv")
     assert code in (0, 2)
     assert "Traceback" not in err
 
@@ -447,6 +519,20 @@ def test_fig4_rejects_config_keys(tmp_path, capsys, section, key, value, message
     assert main(["fig4", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_dir.exists()
+
+
+def test_fig4_diverging_kernels_print_one_error_line(tmp_path, capsys):
+    # noise of 1e300 overflows the kernel gradient; pytest would hide numpy's
+    # RuntimeWarnings from capsys, so they are raised instead
+    doc = json.loads(json.dumps(TINY_FIG4))
+    doc["dataset"]["noise_sigma"] = 1e300
+    cfg_path = tmp_path / "fig4.json"
+    cfg_path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["fig4", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: kernel taps diverged during learning\n"
 
 
 def test_unfold_sweep_deterministic_csv(tmp_path):

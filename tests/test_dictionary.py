@@ -20,7 +20,6 @@ from cscbench.dictionary import (
     apply,
     apply_adjoint,
     dictionary_from_json,
-    export_matrix_csv,
     layout_for,
     load_dictionary,
     mutual_coherence,
@@ -394,16 +393,13 @@ def test_project_to_kernel_grad_matches_finite_differences(rng):
     free = -conv.tap_correlation(residual.T, codes.T) / codes.shape[1]
 
     eps = 1e-6
-    for j, kernel in enumerate(conv.kernels):
-        for idx in np.ndindex(kernel.taps.shape):
-            bump = np.zeros_like(kernel.taps)
-            bump[idx] = eps
-            kernels_hi = list(conv.kernels)
-            kernels_lo = list(conv.kernels)
-            kernels_hi[j] = ConvKernel(kernel.taps + bump, kernel.dilation)
-            kernels_lo[j] = ConvKernel(kernel.taps - bump, kernel.dilation)
-            hi = loss(ConvDictionary(kernels_hi, conv.input_shape, conv.padding))
-            lo = loss(ConvDictionary(kernels_lo, conv.input_shape, conv.padding))
+    for j in range(conv.width):
+        for idx in np.ndindex(conv.taps.shape[1:]):
+            bump = np.zeros_like(conv.taps)
+            bump[(j,) + idx] = eps
+            geometry = (conv.input_shape, conv.padding, conv.dilation)
+            hi = loss(ConvDictionary(conv.taps + bump, *geometry))
+            lo = loss(ConvDictionary(conv.taps - bump, *geometry))
             fd = (hi - lo) / (2.0 * eps)
             assert grads[(j,) + idx] == pytest.approx(fd, abs=1e-6)
             assert free[(j,) + idx] == pytest.approx(fd, abs=1e-6)
@@ -463,9 +459,51 @@ def test_project_to_kernel_grad_shape_validation():
 def test_random_dictionary_unit_norm_and_determinism():
     a = random_dictionary((9, 2), (3,), 4, dilation=2, padding=SAME, seed=7)
     b = random_dictionary((9, 2), (3,), 4, dilation=2, padding=SAME, seed=7)
-    for ka, kb in zip(a.kernels, b.kernels):
-        assert np.array_equal(ka.taps, kb.taps)
-        assert np.linalg.norm(ka.taps) == pytest.approx(1.0, abs=1e-12)
+    for ka, kb in zip(a.taps, b.taps):
+        assert np.array_equal(ka, kb)
+        assert np.linalg.norm(ka) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "input_shape, kernel_spatial, width, dilation",
+    [((9, 1), (3,), 1, 1), ((30, 2), (3,), 5, 2), ((100, 17), (3,), 16, 2),
+     ((40, 3), (5,), 7, 3), ((8, 8, 2), (2, 2), 4, 2), ((9, 7, 3), (3, 2), 3, 1)],
+)
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_random_dictionary_equals_per_kernel_draws(input_shape, kernel_spatial, width,
+                                                    dilation, seed):
+    # the oracle: one draw per kernel, each divided by its own np.linalg.norm
+    rng = np.random.default_rng(seed)
+    draws = [rng.standard_normal(kernel_spatial + input_shape[-1:]) for _ in range(width)]
+    bank = random_dictionary(input_shape, kernel_spatial, width, dilation, SAME, seed)
+    assert np.array_equal(bank.taps, np.stack([t / np.linalg.norm(t) for t in draws]))
+    raw = random_dictionary(input_shape, kernel_spatial, width, dilation, SAME, seed,
+                            unit_norm=False)
+    assert np.array_equal(raw.taps, np.stack(draws))
+    assert bank.dilation == dilation and bank.width == width
+
+
+@given(conv_dictionaries())
+def test_array_and_kernel_list_banks_are_one_operator(conv):
+    from_array = ConvDictionary(conv.kernel_array(), conv.input_shape, conv.padding,
+                                dilation=conv.dilation)
+    from_list = ConvDictionary([ConvKernel(t, conv.dilation) for t in conv.kernel_array()],
+                               conv.input_shape, conv.padding)
+    assert from_list.dilation == from_array.dilation == conv.dilation
+    assert np.array_equal(to_matrix(from_array), to_matrix(from_list))
+    assert np.array_equal(to_matrix(from_array), to_matrix(conv))
+
+
+def test_bank_taps_are_a_read_only_copy():
+    taps = np.ones((2, 3, 1))
+    bank = ConvDictionary(taps, (5, 1))
+    taps[0, 0, 0] = 2.0  # the caller's array stays the caller's
+    assert bank.taps[0, 0, 0] == 1.0
+    with pytest.raises(ValueError):
+        bank.taps[0, 0, 0] = 2.0
+    copy = bank.kernel_array()
+    copy[0, 0, 0] = 3.0  # a writable copy
+    assert bank.taps[0, 0, 0] == 1.0
 
 
 def test_json_round_trip(tmp_path):
@@ -478,11 +516,3 @@ def test_json_round_trip(tmp_path):
         assert np.array_equal(to_matrix(loaded), to_matrix(dictionary))
     doc = json.loads(json.dumps(conv.to_json_dict()))
     assert np.array_equal(to_matrix(dictionary_from_json(doc)), to_matrix(conv))
-
-
-def test_export_matrix_csv_round_trip(tmp_path):
-    conv = small_bank()
-    path = tmp_path / "matrix.csv"
-    export_matrix_csv(to_matrix(conv), path)
-    loaded = np.loadtxt(path, delimiter=",")
-    assert np.array_equal(loaded, to_matrix(conv))

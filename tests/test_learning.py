@@ -8,7 +8,7 @@ import pytest
 from cscbench.data import SyntheticDatasetSpec, generate_dataset
 from cscbench import dictionary, learning
 from cscbench.dictionary import SAME, MSDDictionary, random_dictionary, to_matrix
-from cscbench.errors import ShapeError
+from cscbench.errors import DivergenceError, ShapeError
 from cscbench.learning import (
     FIXED,
     INIT_FRACTION,
@@ -18,6 +18,7 @@ from cscbench.learning import (
     _fraction_beta,
     _next_input,
     _pursue,
+    _update_kernels,
     build_fig_models,
     build_pursuit_model,
     learn_dictionaries,
@@ -141,9 +142,9 @@ def test_code_signal_reshape_round_trip(rng):
 def test_learn_dictionaries_zero_step_keeps_kernels(rng):
     dataset = generate_dataset(tiny_spec())
     ml_model, _ = build_fig_models(12, width=2, depth=2, seed=0)
-    before = [k.taps.copy() for l in ml_model.layers for k in l.kernel_bank.kernels]
+    before = [k.copy() for l in ml_model.layers for k in l.kernel_bank.taps]
     model, records = learn_dictionaries(ml_model, dataset, tiny_config(dict_step=0.0))
-    after = [k.taps for l in model.layers for k in l.kernel_bank.kernels]
+    after = [k for l in model.layers for k in l.kernel_bank.taps]
     for b, a in zip(before, after):
         assert np.array_equal(b, a)
     assert len(records) == 2
@@ -157,14 +158,39 @@ def test_learn_dictionaries_updates_and_renormalizes_kernels():
     dataset = generate_dataset(tiny_spec())
     ml_model, msd_model = build_fig_models(12, width=2, depth=2, seed=0)
     for model in (ml_model, msd_model):
-        before = [
-            k.taps.copy() for l in model.layers for k in l.kernel_bank.kernels
-        ]
+        before = [k.copy() for l in model.layers for k in l.kernel_bank.taps]
         trained, _ = learn_dictionaries(model, dataset, tiny_config(dict_step=0.3))
-        after = [k.taps for l in trained.layers for k in l.kernel_bank.kernels]
+        after = [k for l in trained.layers for k in l.kernel_bank.taps]
         assert any(not np.array_equal(b, a) for b, a in zip(before, after))
         for taps in after:
             assert np.linalg.norm(taps) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(16, 3, 1), (16, 3, 17), (5, 4, 2), (3, 2, 2, 3)])
+def test_renormalization_equals_per_kernel_norm(shape):
+    # the oracle: each kernel stepped, then divided by its own np.linalg.norm
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(100):
+        bank = dictionary.ConvDictionary(
+            rng.standard_normal(shape), (9,) * (len(shape) - 2) + shape[-1:], SAME
+        )
+        grads = rng.standard_normal(shape)
+        step = float(rng.uniform(0.01, 1.0))
+        want = [(t - step * g) / np.linalg.norm(t - step * g) for t, g in zip(bank.taps, grads)]
+        got = _update_kernels(bank, grads, step)
+        assert np.array_equal(got.taps, np.stack(want))
+        assert (got.input_shape, got.padding, got.dilation) == (
+            bank.input_shape, bank.padding, bank.dilation)
+
+
+def test_diverging_kernel_step_raises():
+    bank = random_dictionary((9, 1), (3,), 2, padding=SAME)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for grads in (np.full(bank.taps.shape, np.inf), np.full(bank.taps.shape, 1e300)):
+            with pytest.raises(DivergenceError, match="diverged"):
+                _update_kernels(bank, grads, 1.0)
+    with pytest.raises(DivergenceError, match="collapsed"):
+        _update_kernels(bank, bank.kernel_array(), 1.0)
 
 
 def test_learn_dictionaries_runs_matrix_free(monkeypatch):
@@ -224,8 +250,8 @@ def test_fig_models_share_first_layer_kernels_and_beta(rng):
     ml_model, msd_model = build_fig_models(12, width=2, depth=2, seed=0)
     ml_bank = ml_model.layers[0].kernel_bank
     msd_bank = msd_model.layers[0].kernel_bank
-    for a, b in zip(ml_bank.kernels, msd_bank.kernels):
-        assert np.array_equal(a.taps, b.taps)
+    for a, b in zip(ml_bank.taps, msd_bank.taps):
+        assert np.array_equal(a, b)
     signals = rng.standard_normal((7, 12))
     beta_ml = _fraction_beta(ml_bank, signals, 0.1)
     beta_msd = _fraction_beta(msd_bank, signals, 0.1)

@@ -13,7 +13,7 @@ from cscbench.errors import (
     ShapeError,
 )
 from cscbench.numeric import (
-    JACOBI_MAX_DIM,
+    EIGS_MAX_DIM,
     relu,
     soft_threshold,
     soft_threshold_nonneg,
@@ -173,7 +173,7 @@ def test_symmetric_eigs_rejects_nonsquare():
 
 
 def test_symmetric_eigs_size_limit():
-    big = JACOBI_MAX_DIM + 1
+    big = EIGS_MAX_DIM + 1
     with pytest.raises(MatrixSizeError):
         symmetric_eigs(np.eye(big))
 

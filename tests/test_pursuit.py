@@ -352,7 +352,7 @@ def test_nonneg_run_with_non_finite_signal_raises(rng, bad, momentum):
     # nonnegative taps map a -inf entry to -inf only, which max(v - threshold, 0)
     # would turn into zeros: the signal itself is checked
     bank = random_dictionary((9, 1), (3,), 2, padding=SAME, seed=1)
-    conv = ConvDictionary([np.abs(k.taps) for k in bank.kernels], bank.input_shape, SAME)
+    conv = ConvDictionary(np.abs(bank.taps), bank.input_shape, SAME)
     for dictionary in (conv, MSDDictionary(conv), to_matrix(conv)):
         signals = rng.standard_normal((3, conv.rows))
         signals[1, 4] = bad
