@@ -83,7 +83,7 @@ SERIALIZED_KEYS = ("family", "kernels", "dilation", "input_shape", "padding")
 def _number(value, key, command, whole=False, count=False):
     """A finite JSON number (bools, strings and ints beyond float range are
     not) as a float; ``whole`` asks for a whole number, returned as an int,
-    ``count`` for one no larger than MAX_COUNT."""
+    ``count`` for one from 0 to MAX_COUNT."""
     try:  # strings and lists raise TypeError, an int beyond float range OverflowError
         finite = not isinstance(value, bool) and math.isfinite(value)
     except (TypeError, OverflowError):
@@ -92,6 +92,8 @@ def _number(value, key, command, whole=False, count=False):
         raise ConfigError(f"{command} config key {key!r} must be a finite number, got {value!r}")
     if whole and value != int(value):
         raise ConfigError(f"{command} config key {key!r} must be a whole number, got {value!r}")
+    if count and value < 0:
+        raise ConfigError(f"{command} config key {key!r} must be at least 0, got {value!r}")
     if count and value > MAX_COUNT:
         raise ConfigError(
             f"{command} config key {key!r} must be at most {MAX_COUNT}, got {value!r}"
@@ -311,9 +313,19 @@ def _cmd_fig4(args):
     return 0
 
 
+def _flag_number(text):
+    """A command-line entry as the int or float it spells, else the text."""
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
 def _cmd_unfold_sweep(args):
     unfoldings = tuple(
-        _number(int(u), "unfolding", "unfold-sweep", whole=True, count=True)
+        _number(_flag_number(u), "unfolding", "unfold-sweep", whole=True, count=True)
         for u in args.unfolding.split(",")
     )
     rows, _ = unfold_sweep(unfoldings=unfoldings, solver=args.solver, seed=args.seed)

@@ -25,6 +25,8 @@ from .models import (
     LayerParams,
     MLCSCModel,
     MSDCSCModel,
+    _layer_step,
+    _momentum,
     code_to_stack,
     model_from_config,
     msdcsc_layer_forward,
@@ -103,7 +105,7 @@ class ExperimentRecord:
 # Pursuits and layer forwards run over their samples in blocks of this
 # many, for two reasons. Peak RSS: a block's temporaries grow with it; over
 # one sample at a time, the unfold sweep's whole set at once raised its peak
-# RSS by 13-15%, blocks of 50 by 6%, blocks of 25 by 3.5%. Cache: a block's
+# RSS by 23%, blocks of 50 by 10%, blocks of 25 by 4%. Cache: a block's
 # pursuit state (codes, momentum point, gradient, windows) stays within a
 # core's L2 cache for every step, where a batch of 64-128 signals does not.
 # Rows are independent, so blocking changes no result beyond GEMM rounding.
@@ -331,83 +333,57 @@ def build_pursuit_model(
     layers see much smaller inputs than the raw signals, so a single absolute
     beta would make their Lasso problems degenerate (zero code optimal).
     """
-    return _calibrated_pursuit_model(
-        dim, width, depth, kernel_size, seed, beta, calibration
-    )[0]
-
-
-def _calibrated_pursuit_model(dim, width, depth, kernel_size, seed, beta, calibration):
-    """``build_pursuit_model`` and the calibration batch's per-layer inputs,
-    as ``reference_layer_inputs`` gives them (None without calibration)."""
     model = model_from_config({"model": "msdcsc", "input_shape": [dim, 1], "depth": depth,
                                "width": width, "kernel_size": kernel_size, "seed": seed})
-    inputs = None
-    if calibration is not None:
-        inputs = [np.asarray(calibration, dtype=float)[..., None]]
+    x = None if calibration is None else np.asarray(calibration, dtype=float)[..., None]
     for i, layer in enumerate(model.layers):
         bank, layer_beta = layer.kernel_bank, beta
-        if inputs is not None:
-            layer_beta = _fraction_beta(bank, inputs[-1].reshape(len(inputs[-1]), -1), beta)
+        if x is not None:
+            layer_beta = _fraction_beta(bank, x.reshape(len(x), -1), beta)
         layer = model.layers[i] = LayerParams.pursuit_mode(bank, layer_beta, msd=True)
-        if inputs is not None and i + 1 < depth:  # the last output feeds nothing
-            inputs += _in_blocks(
-                lambda x: (msdcsc_layer_forward(layer, x, 0, "ista"),), inputs[-1]
-            )
-    return model, inputs
+        if x is not None and i + 1 < depth:  # the last output feeds nothing
+            (x,) = _in_blocks(lambda block: (msdcsc_layer_forward(layer, block, 0, "ista"),), x)
+    return model
 
 
-def reference_layer_inputs(model, signals):
-    """Per-layer input batches (n, dim, c) of the single-step (unfolding = 0)
-    forward pass.
+def unfold_objectives(model, signals, unfoldings, solver):
+    """Per-(sample, layer) Lasso objectives and final codes at each unfolding.
 
-    Objectives at different unfolding depths are only comparable on a fixed
-    per-layer problem; chaining unfolded outputs would change layer i's
-    input (and hence its Lasso objective) along with the unfolding depth.
+    Objectives are measured on fixed reference problems, so extra unfolded
+    iterations act on the same problem and ISTA monotonicity applies: layer
+    1's input is the signal, layer i + 1's the single-step output of layer i
+    on its own. The codes come from the genuine chained forward pass. One
+    run from zero per layer on its reference input passes every depth and
+    gives every objective, the next reference input (its first step) and
+    every chained output on that same input: layer 1's, and unfolding 0's.
+
+    Returns {unfolding: (objectives (n_samples, depth), codes (n_samples, F))}.
     """
+    depths = sorted(set(unfoldings))
+    steps = [1] + [1 + u for u in depths]
+    momentum = _momentum(solver)
 
     def block(x):
-        inputs = [x]
-        for layer in model.layers[:-1]:  # the last output feeds nothing
-            inputs.append(msdcsc_layer_forward(layer, inputs[-1], 0, "ista"))
-        return inputs
-
-    return _in_blocks(block, np.asarray(signals, dtype=float)[..., None])
-
-
-def unfold_objectives(model, signals, unfolding, solver, layer_inputs=None):
-    """Per-(sample, layer) Lasso objectives plus final codes.
-
-    Objectives are measured on the fixed reference problems from
-    ``reference_layer_inputs`` (so extra unfolded iterations act on the same
-    problem and ISTA monotonicity applies); the returned codes come from the
-    genuine chained forward pass at the requested unfolding depth.
-
-    Returns (objectives of shape (n_samples, depth), codes (n_samples, F)).
-    """
-    signals = np.asarray(signals, dtype=float)
-    if layer_inputs is None:
-        layer_inputs = reference_layer_inputs(model, signals)
-
-    def block(x, *refs):
-        objectives = []
-        for i, (layer, ref) in enumerate(zip(model.layers, refs)):
-            out_ref = msdcsc_layer_forward(layer, ref, unfolding, solver)
+        ref, chained, objectives = x, [x] * len(depths), []
+        for i, layer in enumerate(model.layers):
+            first, *codes = _layer_step(layer, ref, True, steps, momentum, flat=True)
             beta = -layer.bias[0] * layer.lipschitz(msd=True)
-            problem = LassoProblem(
-                layer.dictionary(msd=True), ref.reshape(len(ref), -1), beta
-            )
-            objectives.append(
-                lasso_objective(problem, stack_to_code(out_ref, layer.kernel_bank))
-            )
-            # the chained input is the reference input at unfolding 0, and
-            # at layer 1, whose reference input is the signal itself
-            x = out_ref if unfolding == 0 or i == 0 else msdcsc_layer_forward(
-                layer, x, unfolding, solver
-            )
-        return np.stack(objectives, axis=1), x.reshape(len(x), -1)
+            problem = LassoProblem(layer.dictionary(msd=True), ref.reshape(len(ref), -1), beta)
+            objectives.append([lasso_objective(problem, code) for code in codes])
+            # the chained input is the reference input on layer 1 and at unfolding 0
+            chained = [
+                code_to_stack(code, layer.kernel_bank) if i == 0 or u == 0
+                else _layer_step(layer, inputs, True, (1 + u,), momentum)[0]
+                for u, code, inputs in zip(depths, codes, chained)
+            ]
+            ref = code_to_stack(first, layer.kernel_bank)
+        return (
+            *(np.stack(per_layer, axis=1) for per_layer in zip(*objectives)),
+            *(codes.reshape(len(codes), -1) for codes in chained),
+        )
 
-    objectives, codes = _in_blocks(block, signals[..., None], *layer_inputs)
-    return objectives, codes
+    parts = _in_blocks(block, np.asarray(signals, dtype=float)[..., None])
+    return {u: (parts[k], parts[len(depths) + k]) for k, u in enumerate(depths)}
 
 
 def unfold_sweep(
@@ -420,25 +396,20 @@ def unfold_sweep(
     beta=0.1,
     seed=0,
 ):
-    """Pursuit objective + nearest-centroid accuracy across unfolding depths."""
+    """Pursuit objective + nearest-centroid accuracy across unfolding depths,
+    one row per entry of ``unfoldings``, in the order given."""
     dataset_spec = dataset_spec or SyntheticDatasetSpec(
         n_classes=20, dim=50, train_per_class=10, test_total=100, seed=seed
     )
     dataset = generate_dataset(dataset_spec)
-    # the calibration pass is the training signals' reference pass
-    model, train_inputs = _calibrated_pursuit_model(
+    model = build_pursuit_model(
         dataset_spec.dim, width, depth, kernel_size, seed, beta, dataset.train_signals
     )
-    test_inputs = reference_layer_inputs(model, dataset.test_signals)
-    rows = []
-    details = {}
+    train = unfold_objectives(model, dataset.train_signals, unfoldings, solver)
+    test = unfold_objectives(model, dataset.test_signals, unfoldings, solver)
+    rows, details = [], {}
     for unfolding in unfoldings:
-        train_obj, train_codes = unfold_objectives(
-            model, dataset.train_signals, unfolding, solver, train_inputs
-        )
-        test_obj, test_codes = unfold_objectives(
-            model, dataset.test_signals, unfolding, solver, test_inputs
-        )
+        (train_obj, train_codes), (test_obj, test_codes) = train[unfolding], test[unfolding]
         accuracy = classify(
             train_codes, dataset.train_labels, test_codes, dataset.test_labels
         )

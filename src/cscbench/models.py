@@ -103,15 +103,19 @@ class LayerParams:
         return layer
 
 
-def _layer_step(layer, x, msd=False, steps=1, momentum=False, nonneg=True, init=None):
-    """Every forward layer: ``steps`` proximal-gradient steps on the signal
+def _layer_step(
+    layer, x, msd=False, steps=(1,), momentum=False, nonneg=True, init=None, flat=False
+):
+    """Every forward layer: one run of proximal-gradient steps on the signal
     ``x`` over ``layer.dictionary(msd)`` at step c = ``effective_scale``,
     with thresholds -bias per kernel (-passthrough_bias on a dense layer's
-    identity channels), from the code array ``init`` or from zero.
+    identity channels), from the code array ``init`` or from zero, read off
+    after each of the step counts ``steps`` (see ``pursuit.iterates_at``).
 
     ``x`` is (*spatial, c); only a dense layer also takes a batch
-    (B, *spatial, c). Returns the code (*out, width), or for a dense layer
-    the stacked (..., *spatial, c + w).
+    (B, *spatial, c). Returns one code per step count: (*out, width), or for
+    a dense layer the stacked (..., *spatial, c + w); with ``flat``, the
+    dictionary's flat code (..., cols).
     """
     x = np.asarray(x, dtype=float)
     conv = layer.kernel_bank
@@ -129,8 +133,11 @@ def _layer_step(layer, x, msd=False, steps=1, momentum=False, nonneg=True, init=
         layer.effective_scale(msd), momentum, nonneg,
         None if init is None else np.reshape(init, conv.cols),
     )
-    code = pursuit.last_iterate(iterates, steps)
-    return code_to_stack(code, conv) if msd else code.reshape(*conv.out_spatial, conv.width)
+    return [
+        code if flat else code_to_stack(code, conv) if msd
+        else code.reshape(*conv.out_spatial, conv.width)
+        for code in pursuit.iterates_at(iterates, steps)
+    ]
 
 
 @dataclass
@@ -149,7 +156,7 @@ def mlcsc_forward(model, x):
     equals a conv -> ReLU pipeline."""
     codes = []
     for layer in model.layers:
-        x = _layer_step(layer, x)
+        (x,) = _layer_step(layer, x)
         codes.append(x)
     return codes
 
@@ -184,7 +191,7 @@ def rescsc_forward(model, x):
     codes = []
     for first, second in zip(model.layers[0::2], model.layers[1::2]):
         z = np.asarray(x, dtype=float)
-        x = _layer_step(first, z, nonneg=nonneg)
+        (x,) = _layer_step(first, z, nonneg=nonneg)
         codes.append(x)
         signal, init = x, None
         if model.variant != "plain":
@@ -200,7 +207,7 @@ def rescsc_forward(model, x):
                 signal = x - conv.apply_array(z)
             if model.variant != "simplified":
                 init = z
-        x = _layer_step(second, signal, nonneg=nonneg, init=init)
+        (x,) = _layer_step(second, signal, nonneg=nonneg, init=init)
         codes.append(x)
     return codes
 
@@ -214,8 +221,7 @@ class MSDCSCModel:
     solver: str = "ista"
 
     def __post_init__(self):
-        if self.solver not in ("ista", "fista"):
-            raise ShapeError(f"unknown solver {self.solver!r}")
+        _momentum(self.solver)  # rejects an unknown solver
         if self.unfolding < 0:
             raise ShapeError("unfolding must be >= 0")
 
@@ -239,9 +245,14 @@ def msdcsc_layer_forward(layer, x, unfolding, solver="ista"):
     """
     if layer.kernel_bank.padding != SAME:
         raise ShapeError("dense layers require same-zero padding")
+    return _layer_step(layer, x, msd=True, steps=(1 + unfolding,), momentum=_momentum(solver))[0]
+
+
+def _momentum(solver):
+    """Whether ``solver``, ista or fista, steps with FISTA's momentum."""
     if solver not in ("ista", "fista"):
         raise ShapeError(f"unknown solver {solver!r}")
-    return _layer_step(layer, x, msd=True, steps=1 + unfolding, momentum=solver == "fista")
+    return solver == "fista"
 
 
 def msdcsc_forward(model, x, return_all=False):

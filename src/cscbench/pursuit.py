@@ -190,13 +190,19 @@ def proximal_gradient(
         code = new
 
 
+def iterates_at(iterates, steps):
+    """The codes after each of ``steps`` (counts >= 1, in any order, repeats
+    allowed) steps of one ``proximal_gradient`` run, in the order given."""
+    wanted = set(steps)
+    if min(wanted) < 1:
+        raise ShapeError(f"a pursuit takes at least one step (unfolding >= 0), got {min(wanted)}")
+    at = {n: code for n, (code, _) in zip(range(1, max(wanted) + 1), iterates) if n in wanted}
+    return [at[n] for n in steps]
+
+
 def last_iterate(iterates, steps):
     """The code after ``steps`` >= 1 steps of a ``proximal_gradient`` run."""
-    if steps < 1:
-        raise ShapeError(f"a pursuit takes at least one step (unfolding >= 0), got {steps}")
-    for code, _ in itertools.islice(iterates, steps):
-        pass
-    return code
+    return iterates_at(iterates, (steps,))[0]
 
 
 def _solve(problem, config, init, momentum):

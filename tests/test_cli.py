@@ -8,7 +8,7 @@ import tempfile
 import warnings
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cscbench import cli, dictionary
@@ -404,12 +404,88 @@ def test_fig4_fuzzed_tiny_document_exits_cleanly(data):
     assert "Traceback" not in err
 
 
-def test_unfold_sweep_negative_unfolding_exits_two(tmp_path, capsys):
+def test_unfold_sweep_negative_unfolding_exits_two(tmp_path, capsys, monkeypatch):
+    # rejected before the model's calibration pass, the first work of a sweep
+    monkeypatch.setattr(cli, "unfold_sweep", None)
     out = tmp_path / "sweep.csv"
     assert main(["unfold-sweep", "--unfolding=-1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == "error: unfold-sweep config key 'unfolding' must be at least 0, got -1\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "entries, shown",
+    [("1.5", "must be a whole number, got 1.5"), ("0,a", "must be a finite number, got 'a'"),
+     ("", "must be a finite number, got ''"), ("0,,1", "must be a finite number, got ''"),
+     ("nan", "must be a finite number, got nan"), ("true", "must be a finite number, got 'true'"),
+     ("2,-3", "must be at least 0, got -3")],
+)
+def test_unfold_sweep_bad_unfolding_entry_exits_two(tmp_path, capsys, monkeypatch,
+                                                    entries, shown):
+    monkeypatch.setattr(cli, "unfold_sweep", None)
+    out = tmp_path / "sweep.csv"
+    assert main(["unfold-sweep", f"--unfolding={entries}", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: unfold-sweep config key 'unfolding' {shown}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+# one command-line entry: mostly a small count, else one far past the count
+# and array bounds or a malformed one; the fuzz checks input handling, not
+# memory or run time
+SMALL_COUNT = st.integers(-1, 4).map(str)
+FLAG_COUNT = st.one_of(SMALL_COUNT, SMALL_COUNT, SMALL_COUNT, st.sampled_from(
+    ["", "x", "1.5", "2.0", "1e300", "nan", "-inf", "0x3", "100000000", str(10**400)]
+))
+
+
+def _run_argv(argv):
+    """``main(argv)``, printing into buffers; returns the exit code and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(code, err):
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+def _optional_flags(data, flags):
+    """``--flag=value`` for a drawn subset of ``flags`` ({flag: strategy})."""
+    return [f"{flag}={data.draw(values)}" for flag, values in flags.items()
+            if data.draw(st.booleans())]
+
+
+@given(st.data())
+def test_coherence_fuzzed_argv_exits_cleanly(data):
+    def shape(extent):
+        return st.lists(extent, min_size=1, max_size=2).map("x".join) | FLAG_COUNT
+
+    argv = ["coherence", f"--kernel-size={data.draw(shape(st.integers(0, 4).map(str)))}",
+            f"--input-shape={data.draw(shape(st.integers(-1, 8).map(str)))}"]
+    argv += _optional_flags(data, {
+        "--dilation": FLAG_COUNT, "--channels": FLAG_COUNT, "--width": FLAG_COUNT,
+        "--padding": st.sampled_from(["valid", "same", "full"]), "--seed": FLAG_COUNT,
+    })
+    _assert_clean_exit(*_run_argv(argv))
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_unfold_sweep_fuzzed_argv_exits_cleanly(data):
+    unfoldings = st.lists(FLAG_COUNT, min_size=1, max_size=3).map(",".join)
+    argv = ["unfold-sweep", *_optional_flags(data, {
+        "--unfolding": unfoldings, "--solver": st.sampled_from(["ista", "fista", "sgd"]),
+        "--seed": FLAG_COUNT,
+    })]
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_clean_exit(*_run_argv(argv + ["--out", f"{tmp}/sweep.csv"]))
 
 
 @pytest.mark.parametrize(
@@ -503,6 +579,8 @@ def test_fig4_tiny_config(tmp_path, capsys):
         # windows of 8 signals at layer 10**5: 12 positions * 3 taps * 199999 channels
         ("model", "depth", 10**5, "fig4 config needs an array of 57599712 entries (limit 10000000)"),
         ("learn", "probe_size", 0, "batch and probe sizes must be >= 1"),
+        # a negative count once ran zero outer iterations and exited 0
+        ("learn", "outer_iterations", -1, "fig4 config key 'learn.outer_iterations' must be at least 0, got -1"),
         pytest.param(
             "dataset", "noise_sigma", -(10**400),
             f"fig4 config key 'dataset.noise_sigma' must be a finite number, got {-(10**400)!r}",

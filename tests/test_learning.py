@@ -5,8 +5,9 @@ import csv
 import numpy as np
 import pytest
 
-from cscbench.data import SyntheticDatasetSpec, generate_dataset
-from cscbench import dictionary, learning
+from cscbench.cli import main
+from cscbench.data import SyntheticDatasetSpec, classify, generate_dataset
+from cscbench import dictionary, learning, pursuit
 from cscbench.dictionary import SAME, MSDDictionary, random_dictionary, to_matrix
 from cscbench.errors import DivergenceError, ShapeError
 from cscbench.learning import (
@@ -22,7 +23,6 @@ from cscbench.learning import (
     build_fig_models,
     build_pursuit_model,
     learn_dictionaries,
-    reference_layer_inputs,
     unfold_objectives,
     unfold_sweep,
     write_experiment_csv,
@@ -266,18 +266,37 @@ def test_fig_models_share_first_layer_kernels_and_beta(rng):
 
 
 def test_reference_inputs_fixed_across_unfolding():
+    # each layer's objective is on one problem at every depth: layer 2's
+    # signal is the single-step output of layer 1, whatever the unfolding
     dataset = generate_dataset(tiny_spec())
     model = build_pursuit_model(
         12, width=2, depth=2, seed=0, beta=0.1, calibration=dataset.train_signals
     )
-    inputs = reference_layer_inputs(model, dataset.test_signals)
-    assert len(inputs) == 2 and len(inputs[0]) == 9
-    # layer-2 reference input is the single-step output of layer 1
-    x = dataset.test_signals[0].reshape(-1, 1)
-    assert np.array_equal(inputs[0][0], x)
-    assert np.array_equal(
-        inputs[1][0], msdcsc_layer_forward(model.layers[0], x, 0, "ista")
+    x = dataset.test_signals[..., None]  # 9 signals: one block
+    refs = [x, msdcsc_layer_forward(model.layers[0], x, 0, "ista")]
+    results = unfold_objectives(model, dataset.test_signals, (2, 0, 1), "ista")
+    assert sorted(results) == [0, 1, 2]
+    for unfolding, (objectives, _) in results.items():
+        for i, (layer, ref) in enumerate(zip(model.layers, refs)):
+            beta = -layer.bias[0] * layer.lipschitz(msd=True)
+            problem = LassoProblem(layer.dictionary(msd=True), ref.reshape(len(ref), -1), beta)
+            out = msdcsc_layer_forward(layer, ref, unfolding, "ista")
+            want = lasso_objective(problem, stack_to_code(out, layer.kernel_bank))
+            assert np.array_equal(objectives[:, i], want)
+
+
+@pytest.mark.parametrize("solver", ["ista", "fista"])
+def test_unfold_objectives_codes_are_the_chained_forward(solver):
+    dataset = generate_dataset(tiny_spec())
+    model = build_pursuit_model(
+        12, width=2, depth=3, seed=0, beta=0.1, calibration=dataset.train_signals
     )
+    results = unfold_objectives(model, dataset.test_signals, (1, 0, 2, 1), solver)
+    for unfolding, (_, codes) in results.items():
+        x = dataset.test_signals[..., None]  # 9 signals: one block
+        for layer in model.layers:
+            x = msdcsc_layer_forward(layer, x, unfolding, solver)
+        assert np.array_equal(codes, x.reshape(len(x), -1))
 
 
 def test_unfold_objectives_nonincreasing_on_fixed_problems():
@@ -285,12 +304,10 @@ def test_unfold_objectives_nonincreasing_on_fixed_problems():
     model = build_pursuit_model(
         12, width=2, depth=2, seed=0, beta=0.1, calibration=dataset.train_signals
     )
-    inputs = reference_layer_inputs(model, dataset.test_signals)
+    results = unfold_objectives(model, dataset.test_signals, (0, 1, 2), "ista")
     previous = None
     for unfolding in (0, 1, 2):
-        obj, codes = unfold_objectives(
-            model, dataset.test_signals, unfolding, "ista", inputs
-        )
+        obj, codes = results[unfolding]
         assert obj.shape == (9, 2)
         assert codes.shape[0] == 9
         if previous is not None:
@@ -313,41 +330,85 @@ def test_unfold_sweep_rows_and_ordering():
     assert rows[1]["mean_objective"] <= rows[0]["mean_objective"]
     assert set(details) == {0, 1}
     assert details[0].shape == (27, 2)  # train + test samples, one column per layer
+    # rows come in the order given, repeats included
+    again, _ = unfold_sweep(unfoldings=(1, 0, 1), solver="fista", dataset_spec=tiny_spec(),
+                            width=2, depth=2, beta=0.1, seed=0)
+    assert again == [rows[1], rows[0], rows[1]]
+
+
+def _reference_sweep(unfoldings, solver, seed):
+    """``unfold_sweep``'s rows at its defaults, one independent pass per
+    unfolding from ``msdcsc_layer_forward`` and ``lasso_objective``: in each
+    block of samples, every layer runs from zero at the unfolding on its
+    reference input (the single-step output of the layer before on its own
+    reference input) and on its chained input, separately."""
+    spec = SyntheticDatasetSpec(n_classes=20, dim=50, train_per_class=10, test_total=100,
+                                seed=seed)
+    dataset = generate_dataset(spec)
+    model = build_pursuit_model(50, width=8, depth=2, kernel_size=3, seed=seed, beta=0.1,
+                                calibration=dataset.train_signals)
+
+    def split(signals, unfolding):
+        def block(x):
+            ref, chained, objectives = x, x, []
+            for layer in model.layers:
+                out = msdcsc_layer_forward(layer, ref, unfolding, solver)
+                beta = -layer.bias[0] * layer.lipschitz(msd=True)
+                problem = LassoProblem(MSDDictionary(layer.kernel_bank),
+                                       ref.reshape(len(ref), -1), beta)
+                objectives.append(lasso_objective(problem, stack_to_code(out, layer.kernel_bank)))
+                chained = msdcsc_layer_forward(layer, chained, unfolding, solver)
+                ref = msdcsc_layer_forward(layer, ref, 0, "ista")
+            return np.stack(objectives, axis=1), chained.reshape(len(chained), -1)
+
+        return learning._in_blocks(block, signals[..., None])
+
+    rows = []
+    for unfolding in unfoldings:
+        train_obj, train_codes = split(dataset.train_signals, unfolding)
+        test_obj, test_codes = split(dataset.test_signals, unfolding)
+        rows.append({
+            "unfolding": unfolding,
+            "solver": solver,
+            "mean_objective": float(np.vstack([train_obj, test_obj]).mean()),
+            "accuracy": classify(train_codes, dataset.train_labels, test_codes,
+                                 dataset.test_labels),
+        })
+    return rows
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("solver", ["ista", "fista"])
-def test_unfold_sweep_reuses_calibration_pass(tmp_path, monkeypatch, solver, seed):
-    rows, _ = unfold_sweep(solver=solver, seed=seed)
-    write_sweep_csv(rows, tmp_path / "reuse.csv")
-    calibrated = learning._calibrated_pursuit_model
-
-    def without_reuse(*args):
-        model = calibrated(*args)[0]
-        return model, reference_layer_inputs(model, args[-1])
-
-    monkeypatch.setattr(learning, "_calibrated_pursuit_model", without_reuse)
-    rows, _ = unfold_sweep(solver=solver, seed=seed)
-    write_sweep_csv(rows, tmp_path / "recomputed.csv")
-    assert (tmp_path / "reuse.csv").read_bytes() == (tmp_path / "recomputed.csv").read_bytes()
+@pytest.mark.parametrize("unfoldings", ["0,1,2", "2,0,2"])
+def test_unfold_sweep_csv_matches_per_unfolding_reference(tmp_path, unfoldings, solver, seed):
+    argv = ["unfold-sweep", "--unfolding", unfoldings, "--solver", solver, "--seed", str(seed)]
+    assert main(argv + ["--out", str(tmp_path / "sweep.csv")]) == 0
+    reference = _reference_sweep([int(u) for u in unfoldings.split(",")], solver, seed)
+    write_sweep_csv(reference, tmp_path / "reference.csv")
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_unfold_sweep_layer_forward_count(monkeypatch):
-    calls = []
+    runs = []
+    proximal_gradient = pursuit.proximal_gradient
 
     def counted(*args):
-        calls.append(args)
-        return msdcsc_layer_forward(*args)
+        steps = [0]
+        runs.append(steps)
+        for iterate in proximal_gradient(*args):
+            steps[0] += 1
+            yield iterate
 
-    monkeypatch.setattr(learning, "msdcsc_layer_forward", counted)
+    monkeypatch.setattr(pursuit, "proximal_gradient", counted)
     unfold_sweep(unfoldings=(0, 1, 2), depth=2, seed=0)
-    # 200 training and 100 test signals in blocks of 25: 12 blocks. Each
-    # block passes layer 1 once for the reference inputs (the calibration
-    # pass on training blocks); then per unfolding and layer one reference
-    # forward, plus a chained one at unfolding > 0 past layer 1, whose
-    # reference input is the signal itself.
-    blocks = (200 + 100) // learning._BLOCK
-    assert len(calls) == blocks * (1 + 8)
+    # 200 training and 100 test signals in blocks of 25: 8 and 4 blocks. The
+    # calibration pass takes one step of layer 1 on each training block. Then
+    # every block runs each layer once on its reference input to the deepest
+    # unfolding (3 steps), and layer 2 once more on its chained input at
+    # unfoldings 1 and 2 (2 and 3 steps).
+    train, test = 200 // learning._BLOCK, 100 // learning._BLOCK
+    assert len(runs) == train * (1 + 4) + test * 4
+    assert sum(steps for (steps,) in runs) == train * (1 + 11) + test * 11
 
 
 # -- CSV writers -------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from cscbench.dictionary import (
     random_dictionary,
     to_matrix,
 )
+from cscbench import pursuit
 from cscbench.errors import DivergenceError, ShapeError
 from cscbench.models import (
     NONNEG,
@@ -18,6 +19,7 @@ from cscbench.models import (
     MLCSCModel,
     MSDCSCModel,
     ResCSCModel,
+    _layer_step,
     code_to_stack,
     mlcsc_forward,
     model_from_config,
@@ -266,6 +268,33 @@ def test_msd_layer_batch_equals_per_sample_calls(rng, solver):
                 assert np.max(np.abs(out[b] - want)) <= 1e-13
     with pytest.raises(ShapeError):
         msdcsc_layer_forward(layers[0], xs[None], 0, solver)
+
+
+@pytest.mark.parametrize("steps", [[1, 2, 4], [4, 1, 3], [3, 1, 3, 3], [2]])
+@pytest.mark.parametrize("batched", [False, True])
+@pytest.mark.parametrize("solver", ["ista", "fista"])
+def test_layer_step_reads_every_depth_of_one_run(rng, monkeypatch, solver, batched, steps):
+    bank = random_dictionary((9, 2), (3,), 3, dilation=2, padding=SAME, seed=3)
+    layers = [
+        pursuit_layer(9, 2, 3, seed=11, beta=0.2, dilation=2),
+        LayerParams(bank, bias=np.array([0.1, -0.2, 0.3]), scale=0.2, passthrough_bias=0.05),
+    ]
+    x = rng.standard_normal((4, 9, 2) if batched else (9, 2))
+    runs = []
+    proximal_gradient = pursuit.proximal_gradient
+
+    def counted(*args):
+        runs.append(args)
+        return proximal_gradient(*args)
+
+    monkeypatch.setattr(pursuit, "proximal_gradient", counted)
+    outs = [_layer_step(layer, x, True, steps, solver == "fista") for layer in layers]
+    monkeypatch.undo()
+    assert len(runs) == len(layers)  # one run per layer serves every count
+    for layer, layer_outs in zip(layers, outs):
+        assert len(layer_outs) == len(steps)
+        for n, out in zip(steps, layer_outs):
+            assert np.array_equal(out, msdcsc_layer_forward(layer, x, n - 1, solver))
 
 
 def test_stack_code_layout_takes_a_batch_axis(rng):

@@ -25,6 +25,7 @@ from cscbench.pursuit import (
     gram_operator,
     ista,
     lasso_objective,
+    iterates_at,
     layered_thresholding,
     last_iterate,
     lipschitz_bound,
@@ -387,6 +388,12 @@ def test_last_iterate_rejects_fewer_than_one_step(rng, steps):
     iterates = proximal_gradient(np.eye(3), rng.standard_normal(3), 0.1, 0.5)
     with pytest.raises(ShapeError):
         last_iterate(iterates, steps)
+
+
+def test_iterates_at_rejects_a_count_below_one(rng):
+    iterates = proximal_gradient(np.eye(3), rng.standard_normal(3), 0.1, 0.5)
+    with pytest.raises(ShapeError, match="at least one step"):
+        iterates_at(iterates, [2, 0, 1])
 
 
 def test_solvers_reject_a_batched_problem(rng):
