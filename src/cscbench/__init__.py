@@ -24,7 +24,7 @@ from .models import (
     msdcsc_layer_forward,
     rescsc_forward,
 )
-from .numeric import soft_threshold, soft_threshold_nonneg, spectral_lmax, symmetric_eigs
+from .numeric import soft_threshold, spectral_lmax, symmetric_eigs
 from .pursuit import (
     LassoProblem,
     PursuitConfig,
@@ -50,7 +50,6 @@ __all__ = [
     "MSDCSCModel",
     "ResCSCModel",
     "soft_threshold",
-    "soft_threshold_nonneg",
     "spectral_lmax",
     "symmetric_eigs",
     "mutual_coherence",

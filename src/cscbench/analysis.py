@@ -25,7 +25,7 @@ from .dictionary import (
     to_matrix,
 )
 from .errors import BoundInapplicableError, ShapeError
-from .models import LayerParams
+from .models import LayerParams, msdcsc_layer_forward
 from .numeric import relu, symmetric_eigs
 from .pursuit import LassoProblem, lasso_objective, layered_thresholding
 
@@ -102,33 +102,19 @@ def lemma3_check(a, tol=1e-10):
     )
 
 
-def reconstruction_report(problem, code, allow_vector_beta=False):
-    """Definition-style per-dimension success test on xi = D code.
-
-    The scalar-beta form is canonical. With ``allow_vector_beta`` a
-    per-entry beta vector is accepted and the threshold for signal
-    dimension j is 2 * beta_j taken from the identity-block prefix (only
-    meaningful for MSD problems) -- an extension beyond the scalar
-    definition.
-    """
+def reconstruction_report(problem, code):
+    """Definition-style per-dimension success test on xi = D code, defined
+    for a scalar beta only."""
+    if np.ndim(problem.beta) != 0:
+        raise ShapeError("the reconstruction test needs a scalar beta")
     code = np.asarray(code, dtype=float)
     xi = dct.apply(problem.dictionary, code)
     target = problem.signal
-    beta = problem.beta
-    if np.ndim(beta) == 0:
-        threshold = 2.0 * float(beta)
-    else:
-        if not allow_vector_beta:
-            raise ShapeError(
-                "vector beta requires allow_vector_beta=True (per-dimension "
-                "threshold extension)"
-            )
-        threshold = 2.0 * np.asarray(beta)[: target.shape[0]]
-    mask = np.abs(xi - target) > threshold
+    mask = np.abs(xi - target) > 2.0 * problem.beta
     return ReconstructionReport(
         xi=xi,
         target=target,
-        beta=beta,
+        beta=problem.beta,
         unsuccess_mask=mask,
         unsuccess_count=int(np.count_nonzero(mask)),
     )
@@ -166,10 +152,11 @@ def theorem1_compare(ml_problem, gamma_ml):
 
 
 def proposition1_check(layer, x):
-    """Max |thresholding-path - concat-path| for one dense layer.
+    """Max |layer path - concat path| for one dense layer on an input x >= 0.
 
-    Path one runs the layered thresholding step on the [I | D] dictionary
-    with the threshold vector (0, ..., 0, -bias); path two evaluates
+    The layer path is the model's own dense layer with no unfolding,
+    ``msdcsc_layer_forward(layer, x, 0)``, which for a network layer (step
+    c = 1, passthrough bias 0) is the concat path; that one evaluates
     concatenate(x, ReLU(conv(x, F) + bias)) through the dense matrix.
     """
     x = np.asarray(x, dtype=float)
@@ -179,17 +166,9 @@ def proposition1_check(layer, x):
             f"input of shape {x.shape} does not match dictionary input "
             f"{conv.input_shape}"
         )
-    msd = layer.dictionary(msd=True)
-    n_pos = conv.n_positions
-    threshold = np.concatenate(
-        [np.zeros(msd.rows), np.tile(-layer.bias, n_pos)]
-    )
-    (code,) = layered_thresholding([(msd, threshold)], x.ravel(), operator="nonneg")
-
-    dense = to_matrix(conv)
-    conv_out = (dense.T @ x.ravel()).reshape(n_pos, conv.width)
-    direct = np.concatenate([x.ravel(), relu(conv_out + layer.bias).ravel()])
-    return float(np.max(np.abs(code - direct)))
+    conv_out = (to_matrix(conv).T @ x.ravel()).reshape(*conv.out_spatial, conv.width)
+    direct = np.concatenate([x, relu(conv_out + layer.bias)], axis=-1)
+    return float(np.max(np.abs(msdcsc_layer_forward(layer, x, 0) - direct)))
 
 
 # -- seeded verification battery ---------------------------------------------

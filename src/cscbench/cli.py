@@ -42,7 +42,7 @@ def _parse_shape(text):
 
 
 def _cmd_verify(args):
-    reports = run_verification_suite(seed=args.seed)
+    reports = run_verification_suite(seed=_number(args.seed, "seed", "verify", whole=True))
     print(suite_to_json(reports))
     return 0 if all(r["pass"] for r in reports) else 1
 
@@ -82,8 +82,9 @@ SERIALIZED_KEYS = ("family", "kernels", "dilation", "input_shape", "padding")
 
 def _number(value, key, command, whole=False, count=False):
     """A finite JSON number (bools, strings and ints beyond float range are
-    not) as a float; ``whole`` asks for a whole number, returned as an int,
-    ``count`` for one from 0 to MAX_COUNT."""
+    not) as a float; ``whole`` asks for a whole number from 0 up, returned as
+    an int (every whole number a command reads is a count or a seed),
+    ``count`` for one up to MAX_COUNT."""
     try:  # strings and lists raise TypeError, an int beyond float range OverflowError
         finite = not isinstance(value, bool) and math.isfinite(value)
     except (TypeError, OverflowError):
@@ -92,7 +93,7 @@ def _number(value, key, command, whole=False, count=False):
         raise ConfigError(f"{command} config key {key!r} must be a finite number, got {value!r}")
     if whole and value != int(value):
         raise ConfigError(f"{command} config key {key!r} must be a whole number, got {value!r}")
-    if count and value < 0:
+    if whole and value < 0:
         raise ConfigError(f"{command} config key {key!r} must be at least 0, got {value!r}")
     if count and value > MAX_COUNT:
         raise ConfigError(
@@ -266,7 +267,7 @@ def _config_section(doc, name, cls=None, **defaults):
     checked = {}
     for key, value in section.items():
         label = f"{name}.{key}"
-        if label in ("learn.beta_schedule", "learn.pursuit_config"):  # set in _cmd_fig4
+        if label in ("learn.beta_schedule", "learn.pursuit_config"):  # fixed by fig4
             raise ConfigError(f"fig4 sets config key {label!r} itself")
         whole = isinstance(defaults[key], int)
         checked[key] = _number(value, label, "fig4", whole=whole, count=whole and key != "seed")
@@ -298,7 +299,6 @@ def _cmd_fig4(args):
     iterations = learn_doc.pop("pursuit_iterations", iterations)
     learn_config = LearnConfig(
         pursuit_config=PursuitConfig(iterations=iterations, nonneg=True),
-        beta_schedule="init-fraction",
         **learn_doc,
     )
     spec = SyntheticDatasetSpec(**dataset_doc)
@@ -324,11 +324,12 @@ def _flag_number(text):
 
 
 def _cmd_unfold_sweep(args):
+    seed = _number(args.seed, "seed", "unfold-sweep", whole=True)
     unfoldings = tuple(
         _number(_flag_number(u), "unfolding", "unfold-sweep", whole=True, count=True)
         for u in args.unfolding.split(",")
     )
-    rows, _ = unfold_sweep(unfoldings=unfoldings, solver=args.solver, seed=args.seed)
+    rows, _ = unfold_sweep(unfoldings=unfoldings, solver=args.solver, seed=seed)
     write_sweep_csv(rows, args.out)
     print(json.dumps({"rows": len(rows), "csv": args.out}))
     return 0

@@ -177,14 +177,6 @@ class ConvDictionary:
         return tuple((ext - 1) // 2 for ext in self.dilated_extent)
 
     @cached_property
-    def pad_right(self):
-        if self.padding == VALID:
-            return tuple(0 for _ in self.spatial_shape)
-        return tuple(
-            ext - 1 - left for ext, left in zip(self.dilated_extent, self.pad_left)
-        )
-
-    @cached_property
     def n_positions(self):
         return math.prod(self.out_spatial)
 
@@ -355,15 +347,11 @@ class MSDDictionary:
     def shape(self):
         return (self.rows, self.cols)
 
-    def split_code(self, code):
+    def apply(self, code):
         code, batched = _as_batch(code, (self.cols,), "code")
         code = code if batched else code[0]
-        return code[..., : self.rows], code[..., self.rows :]
-
-    def apply(self, code):
-        identity_part, conv_part = self.split_code(code)
-        signal = self.conv.apply(conv_part)
-        signal += identity_part
+        signal = self.conv.apply(code[..., self.rows :])
+        signal += code[..., : self.rows]
         return signal
 
     def apply_adjoint(self, signal):
@@ -541,21 +529,12 @@ def project_to_kernel_grad(dense_grad, template):
     return grads
 
 
-def random_dictionary(
-    input_shape,
-    kernel_spatial,
-    width,
-    dilation=1,
-    padding=VALID,
-    seed=0,
-    unit_norm=True,
-):
-    """Seeded Gaussian kernel bank, optionally normalized to unit tap norm."""
+def random_dictionary(input_shape, kernel_spatial, width, dilation=1, padding=VALID, seed=0):
+    """Seeded Gaussian kernel bank, each kernel normalized to unit tap norm."""
     if width < 1:
         raise ShapeError("a dictionary needs at least one kernel")
     taps = np.random.default_rng(seed).standard_normal(
         (width, *kernel_spatial, input_shape[-1])
     )
-    if unit_norm:
-        taps /= kernel_norms(taps)
+    taps /= kernel_norms(taps)
     return ConvDictionary(taps, input_shape, padding, dilation=dilation)

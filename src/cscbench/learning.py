@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,9 +41,7 @@ from .pursuit import (
     proximal_gradient,
 )
 
-FIXED = "fixed"
 INIT_FRACTION = "init-fraction"
-TRACE_FRACTION = "trace-max-fraction"
 
 
 @dataclass
@@ -53,8 +51,9 @@ class LearnConfig:
         default_factory=lambda: PursuitConfig(iterations=20, nonneg=True)
     )
     dict_step: float = 0.3
-    beta_schedule: str = TRACE_FRACTION
-    beta_value: float = 0.1  # beta itself for "fixed", rho for the fraction modes
+    # the one schedule, kept as a field because perfbench/workloads.py passes it
+    beta_schedule: str = INIT_FRACTION
+    beta_value: float = 0.1  # rho: beta_i = rho * max |F_i^T X| on the first batch
     seed: int = 0
     batch_size: int = 128
     probe_size: int = 64
@@ -73,10 +72,10 @@ class LearnConfig:
             raise ShapeError("batch and probe sizes must be >= 1")
         if self.dict_step < 0:
             raise ShapeError("dict_step must be nonnegative")
-        if self.beta_schedule not in (FIXED, INIT_FRACTION, TRACE_FRACTION):
+        if self.beta_schedule != INIT_FRACTION:
             raise ShapeError(f"unknown beta schedule {self.beta_schedule!r}")
-        if self.beta_schedule != FIXED and not 0.0 < self.beta_value < 1.0:
-            raise ShapeError("fraction schedules need rho in (0, 1)")
+        if not 0.0 < self.beta_value < 1.0:
+            raise ShapeError("the fraction schedule needs rho in (0, 1)")
 
 
 @dataclass
@@ -183,10 +182,7 @@ def learn_dictionaries(model, dataset, config):
     # (P, dim), held out from training
     probe = np.asarray(dataset.test_signals[: config.probe_size], dtype=float)
     n_layers = len(model.layers)
-    betas = [
-        config.beta_value if config.beta_schedule == FIXED else None
-        for _ in range(n_layers)
-    ]
+    betas = [None] * n_layers  # fixed at the first batch
     records = []
     for iteration in range(config.outer_iterations):
         start = time.perf_counter()
@@ -195,7 +191,7 @@ def learn_dictionaries(model, dataset, config):
         for i, layer in enumerate(model.layers):
             dictionary = layer.dictionary(msd)
             bank = layer.kernel_bank
-            if betas[i] is None or config.beta_schedule == TRACE_FRACTION:
+            if betas[i] is None:
                 betas[i] = _fraction_beta(bank, signals, config.beta_value)
             codes = _pursue(
                 dictionary, signals, betas[i], config.pursuit_config.iterations, False
@@ -264,10 +260,7 @@ def reconstruction_experiment(
     plain layer's).
     """
     dataset_spec = dataset_spec or SyntheticDatasetSpec()
-    learn_config = learn_config or LearnConfig(beta_schedule=INIT_FRACTION)
-    if learn_config.beta_schedule == TRACE_FRACTION:
-        # per-iteration recomputation would decouple the two runs' betas
-        learn_config = replace(learn_config, beta_schedule=INIT_FRACTION)
+    learn_config = learn_config or LearnConfig()
     dataset = generate_dataset(dataset_spec)
     ml_model, msd_model = build_fig_models(
         dataset_spec.dim,
@@ -322,26 +315,22 @@ def write_experiment_csv(rows, path):
 # -- unfolding sweep -----------------------------------------------------------
 
 
-def build_pursuit_model(
-    dim, width=8, depth=2, kernel_size=3, seed=0, beta=0.1, calibration=None
-):
+def build_pursuit_model(dim, width=8, depth=2, kernel_size=3, seed=0, beta=0.1, *, calibration):
     """Dense model whose layers take exact ISTA steps (c = 1/L, bias = -beta/L).
 
-    With ``calibration`` (an (n_samples, dim) signal batch), ``beta`` is read
-    as a fraction rho and each layer gets beta_i = rho * max |F_i^T x| over
-    the batch propagated through the preceding single-step layers.  Deeper
-    layers see much smaller inputs than the raw signals, so a single absolute
-    beta would make their Lasso problems degenerate (zero code optimal).
+    ``beta`` is a fraction rho: each layer gets beta_i = rho * max |F_i^T x|
+    over ``calibration`` (an (n_samples, dim) signal batch) propagated
+    through the preceding single-step layers. Deeper layers see much smaller
+    inputs than the raw signals, so a single absolute beta would make their
+    Lasso problems degenerate (zero code optimal).
     """
     model = model_from_config({"model": "msdcsc", "input_shape": [dim, 1], "depth": depth,
                                "width": width, "kernel_size": kernel_size, "seed": seed})
-    x = None if calibration is None else np.asarray(calibration, dtype=float)[..., None]
+    x = np.asarray(calibration, dtype=float)[..., None]
     for i, layer in enumerate(model.layers):
-        bank, layer_beta = layer.kernel_bank, beta
-        if x is not None:
-            layer_beta = _fraction_beta(bank, x.reshape(len(x), -1), beta)
-        layer = model.layers[i] = LayerParams.pursuit_mode(bank, layer_beta, msd=True)
-        if x is not None and i + 1 < depth:  # the last output feeds nothing
+        layer_beta = _fraction_beta(layer.kernel_bank, x.reshape(len(x), -1), beta)
+        layer = model.layers[i] = LayerParams.pursuit_mode(layer.kernel_bank, layer_beta, msd=True)
+        if i + 1 < depth:  # the last output feeds nothing
             (x,) = _in_blocks(lambda block: (msdcsc_layer_forward(layer, block, 0, "ista"),), x)
     return model
 
@@ -403,7 +392,7 @@ def unfold_sweep(
     )
     dataset = generate_dataset(dataset_spec)
     model = build_pursuit_model(
-        dataset_spec.dim, width, depth, kernel_size, seed, beta, dataset.train_signals
+        dataset_spec.dim, width, depth, kernel_size, seed, beta, calibration=dataset.train_signals
     )
     train = unfold_objectives(model, dataset.train_signals, unfoldings, solver)
     test = unfold_objectives(model, dataset.test_signals, unfoldings, solver)

@@ -146,10 +146,6 @@ class MLCSCModel:
 
     layers: list[LayerParams]
 
-    @property
-    def depth(self):
-        return len(self.layers)
-
 
 def mlcsc_forward(model, x):
     """Layered nonnegative thresholding, one step from zero per layer;
@@ -225,14 +221,6 @@ class MSDCSCModel:
         if self.unfolding < 0:
             raise ShapeError("unfolding must be >= 0")
 
-    @property
-    def depth(self):
-        return len(self.layers)
-
-    @property
-    def width(self):
-        return self.layers[0].kernel_bank.width if self.layers else 0
-
 
 def msdcsc_layer_forward(layer, x, unfolding, solver="ista"):
     """One dense layer: 1 + ``unfolding`` nonnegative proximal-gradient steps
@@ -255,9 +243,10 @@ def _momentum(solver):
     return solver == "fista"
 
 
-def msdcsc_forward(model, x, return_all=False):
+def msdcsc_forward(model, x):
+    """The last dense layer's output, (*spatial, c + depth * w): each layer
+    keeps its input's channels in its identity block and adds w."""
     x = np.asarray(x, dtype=float)
-    outputs = []
     for i, layer in enumerate(model.layers):
         conv = layer.kernel_bank
         if x.shape != conv.input_shape:
@@ -266,8 +255,7 @@ def msdcsc_forward(model, x, return_all=False):
                 f"dictionary input {conv.input_shape}"
             )
         x = msdcsc_layer_forward(layer, x, model.unfolding, model.solver)
-        outputs.append(x)
-    return outputs if return_all else x
+    return x
 
 
 # -- configuration / serialization -------------------------------------------

@@ -40,13 +40,6 @@ def soft_threshold(z, b):
     return np.sign(z) * np.maximum(np.abs(z) - b, 0.0)
 
 
-def soft_threshold_nonneg(z, b):
-    """S_b^+(z) = max(z - b, 0), i.e. ReLU(z - b)."""
-    z = np.asarray(z, dtype=float)
-    b = _check_threshold(b, z.shape)
-    return np.maximum(z - b, 0.0)
-
-
 def relu(z):
     return np.maximum(np.asarray(z, dtype=float), 0.0)
 

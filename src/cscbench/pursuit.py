@@ -90,7 +90,6 @@ class PursuitResult:
     objective_trace: list[float]
     iterations_run: int
     lipschitz: float
-    momentum_trace: list[float] | None = None
     delta_trace: list[float] = field(default_factory=list)
 
 
@@ -140,9 +139,8 @@ def proximal_gradient(
 ):
     """The package's one ISTA/FISTA iteration (Beck & Teboulle 2009).
 
-    Yields ``(code, t)`` after each step G <- prox(G - step D.T (D G - X))
-    without end; callers stop on their own test. ``t`` is the FISTA momentum
-    (1 without ``momentum``). Signals and codes are (rows,)/(cols,) or
+    Yields the code after each step G <- prox(G - step D.T (D G - X)) without
+    end; callers stop on their own test. Signals and codes are (rows,)/(cols,) or
     batches (B, rows)/(B, cols). ``threshold`` (beta * step for a Lasso
     problem) broadcasts against a code; the prox is max(v - threshold, 0)
     with ``nonneg``, which takes negative thresholds (network biases), else
@@ -178,7 +176,7 @@ def proximal_gradient(
             finite = np.all(np.isfinite(new))
         if not finite:
             raise DivergenceError("pursuit produced non-finite values")
-        yield new, t_k
+        yield new
         point = new
         if momentum:
             t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
@@ -196,7 +194,7 @@ def iterates_at(iterates, steps):
     wanted = set(steps)
     if min(wanted) < 1:
         raise ShapeError(f"a pursuit takes at least one step (unfolding >= 0), got {min(wanted)}")
-    at = {n: code for n, (code, _) in zip(range(1, max(wanted) + 1), iterates) if n in wanted}
+    at = {n: code for n, code in zip(range(1, max(wanted) + 1), iterates) if n in wanted}
     return [at[n] for n in steps]
 
 
@@ -224,13 +222,11 @@ def _solve(problem, config, init, momentum):
     )
     trace = [lasso_objective(problem, start)]
     deltas = []
-    t_values = []
     code = start
-    for new, t_k in itertools.islice(iterates, config.iterations):
+    for new in itertools.islice(iterates, config.iterations):
         deltas.append(float(np.max(np.abs(new - code))) if new.size else 0.0)
         code = new
         trace.append(lasso_objective(problem, code))
-        t_values.append(t_k)
         if deltas[-1] < config.tol:
             break
     return PursuitResult(
@@ -238,7 +234,6 @@ def _solve(problem, config, init, momentum):
         objective_trace=trace,
         iterations_run=len(deltas),
         lipschitz=lipschitz,
-        momentum_trace=t_values if momentum else None,
         delta_trace=deltas,
     )
 

@@ -1,6 +1,7 @@
 """Theory verifiers against hand-computed instances and dense oracles."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from cscbench.dictionary import (
     to_matrix,
 )
 from cscbench.errors import BoundInapplicableError, ShapeError
+from cscbench import models
 from cscbench.models import LayerParams
 from cscbench.pursuit import LassoProblem, lasso_objective
 
@@ -121,14 +123,10 @@ def test_reconstruction_report_hand_mask():
     assert report.unsuccess_count == 2
 
 
-def test_reconstruction_report_vector_beta_flag():
+def test_reconstruction_report_rejects_vector_beta():
     problem = LassoProblem(np.eye(2), np.zeros(2), np.array([0.1, 0.2]))
     with pytest.raises(ShapeError):
         reconstruction_report(problem, np.array([1.0, 1.0]))
-    report = reconstruction_report(
-        problem, np.array([0.15, 0.35]), allow_vector_beta=True
-    )
-    assert np.array_equal(report.unsuccess_mask, [False, False])
 
 
 # -- identity-corrected objective comparison -----------------------------------------
@@ -178,6 +176,18 @@ def test_proposition1_small_instance(rng):
     layer = LayerParams(bank, bias=np.array([-0.2, -0.05]), scale=1.0)
     x = np.abs(rng.standard_normal((6, 1)))
     assert proposition1_check(layer, x) < 1e-12
+
+
+@pytest.mark.parametrize("bias", ["bias", "passthrough_bias"])
+def test_proposition1_checks_the_models_dense_layer(monkeypatch, bias):
+    # the check runs models._layer_step: a shifted dense threshold fails it
+    layer_step = models._layer_step
+
+    def shifted(layer, *args, **kwargs):
+        return layer_step(replace(layer, **{bias: getattr(layer, bias) - 1e-3}), *args, **kwargs)
+
+    monkeypatch.setattr(models, "_layer_step", shifted)
+    assert not check_proposition1(seed=0, instances=5)["pass"]
 
 
 def test_proposition1_shape_mismatch():

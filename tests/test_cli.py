@@ -539,6 +539,38 @@ def test_convergence_error_exits_two(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: did not converge\n"
 
 
+@pytest.mark.parametrize(
+    "argv, doc, key, idle",
+    [
+        (["verify", "--seed=-1"], None, "seed", ["run_verification_suite"]),
+        (["coherence", "--kernel-size=3", "--input-shape=10", "--seed=-1"], None, "seed",
+         ["random_dictionary"]),
+        (["unfold-sweep", "--seed=-1"], None, "seed", ["unfold_sweep"]),
+        (["pursue"], dict(README_PURSUE, signal={"seed": -1}), "signal.seed", ["ista", "fista"]),
+        (["pursue"], dict(README_PURSUE, dictionary={"random": dict(README_RANDOM, seed=-1)}),
+         "dictionary.random.seed", ["random_dictionary"]),
+        (["fig4"], dict(TINY_FIG4, dataset=dict(TINY_FIG4["dataset"], seed=-1)), "dataset.seed",
+         ["reconstruction_experiment"]),
+        (["fig4"], dict(TINY_FIG4, learn=dict(TINY_FIG4["learn"], seed=-1)), "learn.seed",
+         ["reconstruction_experiment"]),
+    ],
+    ids=["verify", "coherence", "unfold-sweep", "pursue-signal", "pursue-dictionary",
+         "fig4-dataset", "fig4-learn"],
+)
+def test_negative_seed_names_its_key_and_exits_two(tmp_path, monkeypatch, argv, doc, key, idle):
+    for name in idle:  # the command must stop before any work starts
+        monkeypatch.setattr(cli, name, None)
+    if doc is not None:
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        argv = argv + ["--config", str(tmp_path / "config.json")]
+    out = tmp_path / "out"
+    if argv[0] in ("unfold-sweep", "pursue", "fig4"):
+        argv = argv + ["--out", str(out)]
+    code, err = _run_argv(argv)
+    assert (code, err) == (2, f"error: {argv[0]} config key {key!r} must be at least 0, got -1\n")
+    assert not out.exists()
+
+
 def test_fig4_tiny_config(tmp_path, capsys):
     cfg_path = tmp_path / "fig4.json"
     cfg_path.write_text(json.dumps(TINY_FIG4))

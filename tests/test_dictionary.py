@@ -202,9 +202,6 @@ def test_msd_apply_and_adjoint_match_dense(rng):
     signal = rng.standard_normal(msd.rows)
     assert np.allclose(apply(msd, code), dense @ code, atol=1e-13)
     assert np.allclose(apply_adjoint(msd, signal), dense.T @ signal, atol=1e-13)
-    ident, conv_part = msd.split_code(code)
-    assert ident.shape == (msd.rows,)
-    assert conv_part.shape == (conv.cols,)
 
 
 def test_msd_requires_same_padding():
@@ -266,9 +263,6 @@ def test_mutual_coherence_matches_dense_oracle(conv, lift):
 def test_same_padding_preserves_grid():
     conv = small_bank(padding=SAME)
     assert conv.out_spatial == conv.spatial_shape
-    assert sum(conv.pad_left) + sum(conv.pad_right) == sum(
-        e - 1 for e in conv.dilated_extent
-    )
 
 
 def test_valid_padding_rejects_oversized_kernel():
@@ -477,9 +471,6 @@ def test_random_dictionary_equals_per_kernel_draws(input_shape, kernel_spatial, 
     draws = [rng.standard_normal(kernel_spatial + input_shape[-1:]) for _ in range(width)]
     bank = random_dictionary(input_shape, kernel_spatial, width, dilation, SAME, seed)
     assert np.array_equal(bank.taps, np.stack([t / np.linalg.norm(t) for t in draws]))
-    raw = random_dictionary(input_shape, kernel_spatial, width, dilation, SAME, seed,
-                            unit_norm=False)
-    assert np.array_equal(raw.taps, np.stack(draws))
     assert bank.dilation == dilation and bank.width == width
 
 

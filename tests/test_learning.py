@@ -11,7 +11,6 @@ from cscbench import dictionary, learning, pursuit
 from cscbench.dictionary import SAME, MSDDictionary, random_dictionary, to_matrix
 from cscbench.errors import DivergenceError, ShapeError
 from cscbench.learning import (
-    FIXED,
     INIT_FRACTION,
     FIG4_HEADER,
     LearnConfig,
@@ -211,7 +210,7 @@ def test_probe_objective_at_fig4_defaults(msd):
     spec = SyntheticDatasetSpec()
     dataset = generate_dataset(spec)
     model = build_fig_models(spec.dim, seed=spec.seed)[msd]
-    config = LearnConfig(outer_iterations=1, beta_schedule=INIT_FRACTION)
+    config = LearnConfig(outer_iterations=1)
     _, (record,) = learn_dictionaries(model, dataset, config)
     # the probe pursues the trained layer 1 on the held-out probe signals
     first = model.layers[0].dictionary(msd)
@@ -243,7 +242,9 @@ def test_learn_config_validation():
         LearnConfig(beta_schedule=INIT_FRACTION, beta_value=1.5)
     with pytest.raises(ShapeError):
         LearnConfig(probe_iterations=0)
-    LearnConfig(beta_schedule=FIXED, beta_value=1.5)  # absolute beta may exceed 1
+    for schedule in ("fixed", "trace-max-fraction"):  # the init fraction is the only one
+        with pytest.raises(ShapeError):
+            LearnConfig(beta_schedule=schedule)
 
 
 def test_fig_models_share_first_layer_kernels_and_beta(rng):

@@ -311,10 +311,12 @@ def test_msdcsc_forward_channel_growth(rng):
     model = model_from_config(
         {"model": "msdcsc", "input_shape": [10, 1], "depth": 3, "width": 4}
     )
-    outputs = msdcsc_forward(model, rng.standard_normal((10, 1)), return_all=True)
-    assert [o.shape for o in outputs] == [(10, 5), (10, 9), (10, 13)]
-    final = msdcsc_forward(model, rng.standard_normal((10, 1)))
-    assert final.shape == (10, 13)
+    x = rng.standard_normal((10, 1))
+    final = msdcsc_forward(model, x)
+    for layer, channels in zip(model.layers, (5, 9, 13)):
+        x = msdcsc_layer_forward(layer, x, model.unfolding, model.solver)
+        assert x.shape == (10, channels)
+    assert np.array_equal(final, x)
 
 
 def test_msdcsc_model_validation():

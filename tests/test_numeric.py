@@ -16,10 +16,10 @@ from cscbench.numeric import (
     EIGS_MAX_DIM,
     relu,
     soft_threshold,
-    soft_threshold_nonneg,
     spectral_lmax,
     symmetric_eigs,
 )
+from cscbench_oracles import soft_threshold_nonneg
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 vectors = hnp.arrays(np.float64, st.integers(1, 20), elements=finite_floats)

@@ -16,7 +16,7 @@ from cscbench.dictionary import (
     to_matrix,
 )
 from cscbench.errors import DivergenceError, InvalidThresholdError, ShapeError
-from cscbench.numeric import soft_threshold, soft_threshold_nonneg
+from cscbench.numeric import soft_threshold
 from cscbench.pursuit import (
     LassoProblem,
     PursuitConfig,
@@ -32,6 +32,7 @@ from cscbench.pursuit import (
     lipschitz_constant,
     proximal_gradient,
 )
+from cscbench_oracles import soft_threshold_nonneg
 from strategies import conv_dictionaries
 
 
@@ -258,16 +259,32 @@ def test_fista_equals_ista_at_one_iteration(rng):
         assert np.array_equal(ista(problem, config).code, fista(problem, config).code)
 
 
-def test_fista_momentum_sequence():
-    problem = LassoProblem(np.eye(3), np.array([3.0, -2.0, 1.0]), 0.1)
-    result = fista(problem, PursuitConfig(iterations=4, tol=1e-300))
-    t = result.momentum_trace
-    assert t[0] == 1.0
-    assert t[1] == pytest.approx((1.0 + np.sqrt(5.0)) / 2.0, abs=1e-15)
-    for k in range(len(t) - 1):
-        assert t[k + 1] == pytest.approx(
-            (1.0 + np.sqrt(1.0 + 4.0 * t[k] ** 2)) / 2.0, abs=1e-12
-        )
+def _textbook_fista(mat, signal, beta, lipschitz, steps):
+    """Beck & Teboulle's FISTA from zero, written out: x_k = prox(y_k - grad / L),
+    t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2, y_{k+1} = x_k + ((t_k - 1) / t_{k+1}) (x_k - x_{k-1})."""
+    x_prev = y = np.zeros(mat.shape[1])
+    t = 1.0
+    for _ in range(steps):
+        x = soft_threshold(y - mat.T @ (mat @ y - signal) / lipschitz, beta / lipschitz)
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        y = x + ((t - 1.0) / t_next) * (x - x_prev)
+        x_prev, t = x, t_next
+    return x
+
+
+@pytest.mark.parametrize("kind", ["dense", "conv"])
+def test_fista_matches_textbook_fista(rng, kind):
+    if kind == "dense":
+        dictionary = rng.standard_normal((8, 14))
+    else:
+        dictionary = random_dictionary((12, 2), (3,), 3, dilation=2, padding=SAME, seed=3)
+    mat = to_matrix(dictionary)
+    signal = rng.standard_normal(mat.shape[0])
+    for steps in (1, 2, 3, 10, 40):
+        result = fista(LassoProblem(dictionary, signal, 0.05), PursuitConfig(steps, tol=1e-300))
+        assert result.iterations_run == steps
+        want = _textbook_fista(mat, signal, 0.05, result.lipschitz, steps)
+        assert np.max(np.abs(result.code - want)) <= 1e-12
 
 
 def test_fista_not_worse_than_ista_at_same_budget(rng):
@@ -329,7 +346,7 @@ def test_proximal_gradient_batch_rows_equal_per_sample_solvers(
 def test_proximal_gradient_takes_negative_nonneg_thresholds(rng):
     mat = rng.standard_normal((5, 7))
     signal = rng.standard_normal(5)
-    code, _ = next(proximal_gradient(mat, signal, -0.3, 0.1, nonneg=True))
+    code = next(proximal_gradient(mat, signal, -0.3, 0.1, nonneg=True))
     assert np.allclose(code, np.maximum(0.1 * mat.T @ signal + 0.3, 0.0), atol=1e-15)
     with pytest.raises(InvalidThresholdError):
         next(proximal_gradient(mat, signal, -0.3, 0.1, nonneg=False))
@@ -374,7 +391,7 @@ def test_yielded_iterates_are_never_written_after_yield(rng, nonneg):
         iterates = proximal_gradient(
             dictionary, signals, 0.05 * step, step, momentum=True, nonneg=nonneg, init=init
         )
-        for code, _ in itertools.islice(iterates, 10):
+        for code in itertools.islice(iterates, 10):
             kept.append(code)
             copies.append(code.copy())
         assert len(kept) == 10
