@@ -1,7 +1,7 @@
 """Convolutional sparse coding workbench.
 
-Dilated convolutional dictionaries, Lasso pursuit (ISTA / FISTA / layered
-thresholding), plain / residual / dense forward-propagation families, and
+Dilated convolutional dictionaries, Lasso pursuit (ISTA / FISTA), plain
+(layered thresholding) / residual / dense forward-propagation families, and
 executable checks of the theory connecting them.
 """
 
@@ -9,7 +9,6 @@ from .dictionary import (
     ConvDictionary,
     ConvKernel,
     MSDDictionary,
-    StripeLayout,
     mutual_coherence,
     stripe_sparsity,
     to_matrix,
@@ -32,7 +31,6 @@ from .pursuit import (
     fista,
     ista,
     lasso_objective,
-    layered_thresholding,
     lipschitz_bound,
     lipschitz_constant,
 )
@@ -41,7 +39,6 @@ __all__ = [
     "ConvDictionary",
     "ConvKernel",
     "MSDDictionary",
-    "StripeLayout",
     "LassoProblem",
     "PursuitConfig",
     "PursuitResult",
@@ -58,7 +55,6 @@ __all__ = [
     "ista",
     "fista",
     "lasso_objective",
-    "layered_thresholding",
     "lipschitz_bound",
     "lipschitz_constant",
     "mlcsc_forward",

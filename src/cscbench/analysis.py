@@ -18,16 +18,15 @@ from .dictionary import (
     SAME,
     ConvDictionary,
     MSDDictionary,
-    layout_for,
     mutual_coherence,
     random_dictionary,
     stripe_sparsity,
     to_matrix,
 )
 from .errors import BoundInapplicableError, ShapeError
-from .models import LayerParams, msdcsc_layer_forward
+from .models import SOFT, LayerParams, MLCSCModel, mlcsc_forward, msdcsc_layer_forward
 from .numeric import relu, symmetric_eigs
-from .pursuit import LassoProblem, lasso_objective, layered_thresholding
+from .pursuit import LassoProblem, lasso_objective
 
 
 @dataclass
@@ -120,16 +119,6 @@ def reconstruction_report(problem, code):
     )
 
 
-def _msd_lift(dictionary):
-    if isinstance(dictionary, ConvDictionary):
-        return MSDDictionary(dictionary)
-    if isinstance(dictionary, np.ndarray):
-        return np.hstack([np.eye(dictionary.shape[0]), dictionary])
-    raise ShapeError(
-        f"cannot lift {type(dictionary).__name__} to a dense-connection dictionary"
-    )
-
-
 def theorem1_compare(ml_problem, gamma_ml):
     """Objective of the identity-corrected code vs the plain objective.
 
@@ -143,9 +132,9 @@ def theorem1_compare(ml_problem, gamma_ml):
         report.unsuccess_mask, report.target - report.xi, 0.0
     )
     eta = np.concatenate([corrections, gamma_ml])
-    msd_problem = LassoProblem(
-        _msd_lift(ml_problem.dictionary), ml_problem.signal, ml_problem.beta
-    )
+    rows = ml_problem.dictionary.shape[0]
+    lifted = np.hstack([np.eye(rows), to_matrix(ml_problem.dictionary)])
+    msd_problem = LassoProblem(lifted, ml_problem.signal, ml_problem.beta)
     f_ml = lasso_objective(ml_problem, gamma_ml)
     f_msd = lasso_objective(msd_problem, eta)
     return eta, f_ml, f_msd
@@ -325,17 +314,17 @@ def check_lemma2(seed=0, instances=20, eps0=0.1, threshold=0.01):
     ok = True
     for i in range(instances):
         d1, d2, gamma1, gamma2, signal = planted_lemma2_instance(seed + i, eps0)
-        codes = layered_thresholding(
-            [(d1, threshold), (d2, threshold)], signal, operator="soft"
+        # layered soft thresholding: the plain model at step 1, bias -threshold
+        model = MLCSCModel(
+            [LayerParams(d, bias=np.full(d.width, -threshold), scale=1.0) for d in (d1, d2)],
+            SOFT,
         )
+        codes = mlcsc_forward(model, signal.reshape(d1.input_shape))
         mus = [mutual_coherence(d1), mutual_coherence(d2)]
-        stripes = [
-            stripe_sparsity(gamma1, layout_for(d1)),
-            stripe_sparsity(gamma2, layout_for(d2)),
-        ]
+        stripes = [stripe_sparsity(gamma1, d1), stripe_sparsity(gamma2, d2)]
         for layer in (1, 2):
             truth = gamma1 if layer == 1 else gamma2
-            err = float(np.sum((truth - codes[layer - 1]) ** 2))
+            err = float(np.sum((truth - codes[layer - 1].ravel()) ** 2))
             bound = lemma2_bound(mus[:layer], stripes[:layer], eps0)
             worst = max(worst, err - bound)
             ok = ok and err <= bound

@@ -123,6 +123,8 @@ class ConvDictionary:
                 f"input_shape {input_shape} does not match kernel rank "
                 f"{len(self.kernel_spatial)} (+1 channel axis)"
             )
+        if min(input_shape) < 1:
+            raise ShapeError(f"input_shape entries must all be >= 1, got {input_shape}")
         if input_shape[-1] != self.taps.shape[-1]:
             raise ShapeError(
                 f"input has {input_shape[-1]} channels but kernels expect "
@@ -368,33 +370,6 @@ class MSDDictionary:
         return cls(ConvDictionary.from_json_dict(doc))
 
 
-@dataclass(frozen=True)
-class StripeLayout:
-    """Position-major code layout: m channels per position, dilated extent n."""
-
-    m: int
-    n: int
-    positions: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1 or self.positions < 1:
-            raise ShapeError("stripe layout counts must be positive")
-
-    @property
-    def code_length(self):
-        return self.positions * self.m
-
-
-def layout_for(dictionary):
-    """StripeLayout of a 1D convolutional dictionary's code."""
-    conv = dictionary.conv if isinstance(dictionary, MSDDictionary) else dictionary
-    if len(conv.spatial_shape) != 1:
-        raise ShapeError("stripe layouts are defined for 1D dictionaries")
-    return StripeLayout(
-        m=conv.width, n=conv.dilated_extent[0], positions=conv.out_spatial[0]
-    )
-
-
 def dictionary_from_json(doc):
     if doc.get("family") == "msd":
         return MSDDictionary.from_json_dict(doc)
@@ -494,17 +469,17 @@ def mutual_coherence(dictionary):
     return float(gram.max()) if gram.size else 0.0
 
 
-def stripe_sparsity(code, layout):
-    """Max non-zero count over contiguous windows of 2n-1 positions."""
+def stripe_sparsity(code, conv):
+    """Max non-zero count of a 1-D bank's flat code over contiguous windows
+    of 2n - 1 positions, n the bank's dilated kernel extent."""
+    if len(conv.spatial_shape) != 1:
+        raise ShapeError("stripe sparsity is defined for 1D dictionaries")
     code = np.asarray(code, dtype=float)
-    if code.shape != (layout.code_length,):
-        raise ShapeError(
-            f"expected code of length {layout.code_length}, got {code.shape}"
-        )
-    per_position = np.count_nonzero(
-        code.reshape(layout.positions, layout.m), axis=1
-    )
-    window = min(2 * layout.n - 1, layout.positions)
+    if code.shape != (conv.cols,):
+        raise ShapeError(f"expected code of length {conv.cols}, got {code.shape}")
+    (positions,) = conv.out_spatial
+    per_position = np.count_nonzero(code.reshape(positions, conv.width), axis=1)
+    window = min(2 * conv.dilated_extent[0] - 1, positions)
     sums = np.convolve(per_position, np.ones(window, dtype=int), mode="valid")
     return int(sums.max())
 

@@ -140,19 +140,31 @@ def _layer_step(
     ]
 
 
+def _nonneg(operator):
+    """Whether ``operator``, SOFT or NONNEG, is the nonnegative prox."""
+    if operator not in (SOFT, NONNEG):
+        raise ShapeError(f"unknown thresholding operator {operator!r}")
+    return operator == NONNEG
+
+
 @dataclass
 class MLCSCModel:
     """Plain stack: each layer is one thresholded adjoint-apply."""
 
     layers: list[LayerParams]
+    operator: str = NONNEG
+
+    def __post_init__(self):
+        _nonneg(self.operator)  # rejects an unknown operator
 
 
 def mlcsc_forward(model, x):
-    """Layered nonnegative thresholding, one step from zero per layer;
-    equals a conv -> ReLU pipeline."""
+    """Layered thresholding, one step from zero per layer; with the NONNEG
+    operator it equals a conv -> ReLU pipeline."""
+    nonneg = _nonneg(model.operator)
     codes = []
     for layer in model.layers:
-        (x,) = _layer_step(layer, x)
+        (x,) = _layer_step(layer, x, nonneg=nonneg)
         codes.append(x)
     return codes
 
@@ -172,8 +184,7 @@ class ResCSCModel:
     def __post_init__(self):
         if self.variant not in RESCSC_VARIANTS:
             raise ShapeError(f"unknown Res-CSC variant {self.variant!r}")
-        if self.operator not in (SOFT, NONNEG):
-            raise ShapeError(f"unknown thresholding operator {self.operator!r}")
+        _nonneg(self.operator)  # rejects an unknown operator
         if len(self.layers) % 2 != 0:
             raise ShapeError("Res-CSC needs an even number of layers")
 
@@ -183,7 +194,7 @@ def rescsc_forward(model, x):
     from the pair's input z or zero: (signal, init) is (x, z) for "full",
     (x + F z, z) for "resnet", (x - F z, 0) for "simplified" and (x, 0) for
     "plain", with x the first layer's code and F the second layer's bank."""
-    nonneg = model.operator == NONNEG
+    nonneg = _nonneg(model.operator)
     codes = []
     for first, second in zip(model.layers[0::2], model.layers[1::2]):
         z = np.asarray(x, dtype=float)

@@ -1,10 +1,10 @@
-"""Lasso pursuit: one proximal-gradient loop, ISTA/FISTA, layered thresholding.
+"""Lasso pursuit: one proximal-gradient loop and the ISTA/FISTA solvers.
 
 ``proximal_gradient`` is the only ISTA/FISTA iteration in the package;
-``ista``/``fista`` (the per-sample reference solvers), ``layered_thresholding``
-(one unit step from zero per layer), every forward layer of
-:mod:`cscbench.models` (plain, residual and dense) and the batched pursuits
-of :mod:`cscbench.learning` all run it. Steps are 1/L with
+``ista``/``fista`` (the per-sample reference solvers), every forward layer
+of :mod:`cscbench.models` (plain, residual and dense; layered thresholding
+is the plain model's forward pass) and the batched pursuits of
+:mod:`cscbench.learning` all run it. Steps are 1/L with
 L = 2 * lambda_max(D.T D), the constant stated alongside the update rule
 (the tight one is lambda_max(D.T D)); ``lipschitz_override`` sets another. Only the logging probe of
 :mod:`cscbench.learning`, a measurement rather than a model layer, takes
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import dictionary as dct
 from .errors import DivergenceError, InvalidThresholdError, ShapeError
-from .numeric import _check_threshold, soft_threshold, symmetric_eigs
+from .numeric import soft_threshold, symmetric_eigs
 
 
 @dataclass
@@ -246,32 +246,6 @@ def ista(problem, config, init=None):
 def fista(problem, config, init=None):
     """Momentum-accelerated variant; identical to ISTA when iterations == 1."""
     return _solve(problem, config, init, momentum=True)
-
-
-def layered_thresholding(layers, signal, operator="soft"):
-    """One unit ``proximal_gradient`` step from zero per layer, i.e. one
-    adjoint-apply + threshold; returns all layer codes.
-
-    ``layers`` is a list of (dictionary, threshold) pairs, each threshold
-    nonnegative and broadcasting against the layer's code; ``operator``
-    selects the signed ("soft") or nonnegative ("nonneg") operator.
-    """
-    if operator not in ("soft", "nonneg"):
-        raise ShapeError(f"unknown thresholding operator {operator!r}")
-    current = np.asarray(signal, dtype=float)
-    codes = []
-    for i, (dictionary, threshold) in enumerate(layers):
-        rows, cols = dictionary.shape
-        if current.shape != (rows,):
-            raise ShapeError(
-                f"layer {i}: signal of length {current.shape} does not match "
-                f"dictionary rows {rows}"
-            )
-        threshold = _check_threshold(threshold, (cols,))
-        iterates = proximal_gradient(dictionary, current, threshold, 1.0, nonneg=operator == "nonneg")
-        current = last_iterate(iterates, 1)
-        codes.append(current)
-    return codes
 
 
 def export_trace_csv(result, path):

@@ -26,7 +26,6 @@ from cscbench.analysis import (
 )
 from cscbench.dictionary import (
     SAME,
-    layout_for,
     mutual_coherence,
     random_dictionary,
     stripe_sparsity,
@@ -216,7 +215,7 @@ def test_planted_instance_zero_coherence_and_exact_noise():
 def test_planted_instance_stripe_sparsity_within_bound():
     d1, d2, gamma1, gamma2, _ = planted_lemma2_instance(seed=3)
     for code, d in ((gamma1, d1), (gamma2, d2)):
-        gamma = stripe_sparsity(code, layout_for(d))
+        gamma = stripe_sparsity(code, d)
         assert lemma2_bound([mutual_coherence(d)], [gamma], 0.1) > 0.0
 
 

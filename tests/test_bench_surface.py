@@ -1,9 +1,11 @@
-"""The names the benchmark's tracer reaches in cscbench still exist.
+"""The names that code outside the package reaches in cscbench still exist.
 
 ``perfbench/tracer.py`` looks each traced function and method up by name
 when a ``--trace 1`` run installs it, and ``perfbench/run.py`` catches
 ``ConvergenceError``; a cleanup of ``src/`` that drops one of them breaks
 those runs. The tracer module is loaded from its file and not modified.
+A name left in ``cscbench.__all__`` after its definition is removed breaks
+``from cscbench import *``.
 """
 
 import importlib
@@ -53,6 +55,11 @@ def test_every_traced_name_resolves(tracer):
     for module, cls_name, name in tracer.METHODS:
         cls = getattr(importlib.import_module(f"cscbench.{module}"), cls_name, None)
         assert callable(getattr(cls, name, None)), f"cscbench.{module}.{cls_name}.{name}"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in cscbench.__all__ if not hasattr(cscbench, name)]
+    assert not missing, f"cscbench.__all__ names undefined {missing}"
 
 
 def test_convergence_error_exists():

@@ -515,6 +515,22 @@ def test_oversized_run_exits_two(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["coherence", "--kernel-size", "3", "--input-shape", "0", "--padding", "same"], None),
+        (["pursue"], dict(README_PURSUE, dictionary={"random": dict(README_RANDOM, input_shape=[0, 1])})),
+    ],
+    ids=["coherence", "pursue"],
+)
+def test_zero_length_axis_exits_two(tmp_path, argv, doc):
+    if doc is not None:
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        argv = argv + ["--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
+    assert _run_argv(argv) == (2, "error: input_shape entries must all be >= 1, got (0, 1)\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_coherence_builds_one_dense_matrix(monkeypatch, capsys):
     calls = []
     to_matrix = dictionary.to_matrix

@@ -16,11 +16,9 @@ from cscbench.dictionary import (
     ConvDictionary,
     ConvKernel,
     MSDDictionary,
-    StripeLayout,
     apply,
     apply_adjoint,
     dictionary_from_json,
-    layout_for,
     load_dictionary,
     mutual_coherence,
     project_to_kernel_grad,
@@ -301,6 +299,10 @@ def test_dictionary_validation():
         ConvDictionary([ConvKernel(np.ones((2, 2)))], (4, 1))  # channel mismatch
     with pytest.raises(ShapeError):
         ConvDictionary([ConvKernel(np.ones((2, 1)))], (4, 1), padding="reflect")
+    # a zero-length axis, which same padding would turn into a bank of no columns
+    for taps, shape in ((np.ones((1, 2, 1)), (0, 1)), (np.ones((1, 2, 2, 1)), (4, 0, 1))):
+        with pytest.raises(ShapeError, match="must all be >= 1"):
+            ConvDictionary(taps, shape, SAME)
 
 
 def test_apply_shape_validation(rng):
@@ -339,32 +341,33 @@ def test_mutual_coherence_zero_column_rejected():
 
 
 def test_stripe_sparsity_hand_case():
-    layout = StripeLayout(m=2, n=2, positions=4)  # windows of 3 positions
+    bank = small_bank(length=4, width=2, k=2, dilation=1)  # m = 2, n = 2, 4 positions
     code = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
-    # per-position counts (1, 0, 1, 2); best window (0,1,2)->2, (1,2,3)->3
-    assert stripe_sparsity(code, layout) == 3
+    # windows of 3 positions; per-position counts (1, 0, 1, 2); best window
+    # (0,1,2)->2, (1,2,3)->3
+    assert stripe_sparsity(code, bank) == 3
 
 
 def test_stripe_sparsity_window_capped_at_positions():
-    layout = StripeLayout(m=1, n=5, positions=3)
-    assert stripe_sparsity(np.array([1.0, 1.0, 1.0]), layout) == 3
+    bank = small_bank(length=3, channels=1, width=1, k=3, dilation=2)  # n = 5, 3 positions
+    assert stripe_sparsity(np.array([1.0, 1.0, 1.0]), bank) == 3
 
 
-def test_layout_for_matches_geometry():
-    conv = small_bank(dilation=2, k=3)
-    layout = layout_for(conv)
-    assert layout.m == conv.width
-    assert layout.n == 2 * (3 - 1) + 1
-    assert layout.positions == conv.out_spatial[0]
-    assert layout.code_length == conv.cols
-    msd_layout = layout_for(MSDDictionary(small_bank(padding=SAME)))
-    assert msd_layout.m == 3
+def test_stripe_sparsity_reads_the_bank_geometry():
+    # m = 3 kernels, n = 2 * (3 - 1) + 1 = 5, so windows of 9 of the 12 positions
+    bank = small_bank(length=12, width=3, k=3, dilation=2)
+    code = np.zeros((12, 3))
+    code[0, 0] = code[0, 1] = code[8, 2] = code[10, 0] = 1.0
+    # windows of 7 or fewer positions count 2, of 11 or more 4
+    assert stripe_sparsity(code.ravel(), bank) == 3
+    with pytest.raises(ShapeError):
+        stripe_sparsity(np.zeros(bank.cols + 1), bank)
 
 
-def test_layout_for_rejects_2d():
+def test_stripe_sparsity_rejects_2d():
     conv = random_dictionary((4, 4, 1), (2, 2), 1, seed=0)
     with pytest.raises(ShapeError):
-        layout_for(conv)
+        stripe_sparsity(np.zeros(conv.cols), conv)
 
 
 # -- kernel gradient projection ----------------------------------------------

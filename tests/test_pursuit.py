@@ -16,6 +16,7 @@ from cscbench.dictionary import (
     to_matrix,
 )
 from cscbench.errors import DivergenceError, InvalidThresholdError, ShapeError
+from cscbench.models import NONNEG, SOFT, LayerParams, MLCSCModel, mlcsc_forward
 from cscbench.numeric import soft_threshold
 from cscbench.pursuit import (
     LassoProblem,
@@ -26,7 +27,6 @@ from cscbench.pursuit import (
     ista,
     lasso_objective,
     iterates_at,
-    layered_thresholding,
     last_iterate,
     lipschitz_bound,
     lipschitz_constant,
@@ -419,53 +419,64 @@ def test_solvers_reject_a_batched_problem(rng):
         ista(problem, PursuitConfig(iterations=2))
 
 
-# -- layered thresholding --------------------------------------------------------
+# -- layered thresholding: the plain model's forward pass ---------------------------
+
+
+def unit_step_model(banks, biases, operator=NONNEG):
+    """A plain model whose layers take one unit step from zero, bias -t."""
+    layers = [LayerParams(d, bias=np.full(d.width, b), scale=1.0) for d, b in zip(banks, biases)]
+    return MLCSCModel(layers, operator)
 
 
 def test_layered_thresholding_single_layer_is_relu_shift(rng):
-    mat = rng.standard_normal((5, 7))
-    x = rng.standard_normal(5)
-    (code,) = layered_thresholding([(mat, 0.3)], x, operator="nonneg")
-    assert np.allclose(code, np.maximum(mat.T @ x - 0.3, 0.0), atol=1e-13)
+    bank = random_dictionary((6, 2), (2,), 3, dilation=2, seed=1)
+    x = rng.standard_normal((6, 2))
+    (code,) = mlcsc_forward(unit_step_model([bank], [-0.3]), x)
+    want = np.maximum(to_matrix(bank).T @ x.ravel() - 0.3, 0.0)
+    assert np.allclose(code.ravel(), want, atol=1e-13)
 
 
 def test_layered_thresholding_identity_chain_passthrough(rng):
-    x = rng.standard_normal(4)
-    codes = layered_thresholding(
-        [(np.eye(4), 0.0), (np.eye(4), 0.0)], x, operator="soft"
-    )
+    identity = ConvDictionary(np.eye(3).reshape(3, 1, 3), (4, 3))  # one tap per channel
+    x = rng.standard_normal((4, 3))
+    codes = mlcsc_forward(unit_step_model([identity, identity], [0.0, 0.0], SOFT), x)
     assert np.array_equal(codes[0], x)
     assert np.array_equal(codes[1], x)
 
 
 def test_layered_thresholding_matches_dense_oracle(rng):
-    d1 = rng.standard_normal((6, 8))
-    d2 = rng.standard_normal((8, 5))
-    x = rng.standard_normal(6)
-    codes = layered_thresholding([(d1, 0.2), (d2, 0.1)], x, operator="soft")
-    g1 = soft_threshold(d1.T @ x, 0.2)
-    g2 = soft_threshold(d2.T @ g1, 0.1)
-    assert np.allclose(codes[0], g1, atol=1e-13)
-    assert np.allclose(codes[1], g2, atol=1e-13)
+    d1 = random_dictionary((6, 1), (3,), 2, padding=SAME, seed=2)
+    d2 = random_dictionary((6, 2), (2,), 3, dilation=2, seed=3)
+    x = rng.standard_normal((6, 1))
+    codes = mlcsc_forward(unit_step_model([d1, d2], [-0.2, -0.1], SOFT), x)
+    g1 = soft_threshold(to_matrix(d1).T @ x.ravel(), 0.2)
+    g2 = soft_threshold(to_matrix(d2).T @ g1, 0.1)
+    assert np.allclose(codes[0].ravel(), g1, atol=1e-13)
+    assert np.allclose(codes[1].ravel(), g2, atol=1e-13)
 
 
-@pytest.mark.parametrize("operator", ["soft", "nonneg"])
+@pytest.mark.parametrize("operator", [SOFT, NONNEG])
 def test_layered_thresholding_checks_thresholds(rng, operator):
-    d = rng.standard_normal((6, 8))
-    x = rng.standard_normal(6)
-    with pytest.raises(ShapeError):  # does not broadcast against the (8,) code
-        layered_thresholding([(d, np.full(3, 0.1))], x, operator=operator)
-    with pytest.raises(InvalidThresholdError):
-        layered_thresholding([(d, np.full(8, -0.1))], x, operator=operator)
+    bank = random_dictionary((6, 1), (3,), 2, padding=SAME, seed=4)
+    x = rng.standard_normal((6, 1))
+    with pytest.raises(ShapeError):  # one bias per kernel
+        LayerParams(bank, bias=np.full(3, -0.1), scale=1.0)
+    if operator == SOFT:  # a positive bias is a negative soft threshold
+        with pytest.raises(InvalidThresholdError):
+            mlcsc_forward(unit_step_model([bank], [0.1], operator), x)
+    else:  # ReLU(D.T x + bias) takes any bias
+        (code,) = mlcsc_forward(unit_step_model([bank], [0.1], operator), x)
+        want = np.maximum(to_matrix(bank).T @ x.ravel() + 0.1, 0.0)
+        assert np.allclose(code.ravel(), want, atol=1e-13)
 
 
-def test_layered_thresholding_reports_failing_layer(rng):
-    d1 = rng.standard_normal((6, 8))
-    d2 = rng.standard_normal((9, 5))  # mismatched chain
-    with pytest.raises(ShapeError, match="layer 1"):
-        layered_thresholding([(d1, 0.1), (d2, 0.1)], rng.standard_normal(6))
-    with pytest.raises(ShapeError):
-        layered_thresholding([(d1, 0.1)], rng.standard_normal(6), operator="hard")
+def test_layered_thresholding_rejects_mismatched_chain_and_operator(rng):
+    d1 = random_dictionary((6, 1), (3,), 2, padding=SAME, seed=5)
+    d2 = random_dictionary((9, 2), (3,), 2, padding=SAME, seed=6)  # d1's codes are (6, 2)
+    with pytest.raises(ShapeError, match="does not match dictionary input"):
+        mlcsc_forward(unit_step_model([d1, d2], [0.0, 0.0]), rng.standard_normal((6, 1)))
+    with pytest.raises(ShapeError, match="unknown thresholding operator"):
+        unit_step_model([d1], [0.0], "hard")
 
 
 # -- trace export -----------------------------------------------------------------
