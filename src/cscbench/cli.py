@@ -80,11 +80,11 @@ RANDOM_KEYS = ("input_shape", "kernel_size", "width", "dilation", "padding", "se
 SERIALIZED_KEYS = ("family", "kernels", "dilation", "input_shape", "padding")
 
 
-def _number(value, key, command, whole=False, count=False):
+def _number(value, key, command, whole=False, count=False, least=0):
     """A finite JSON number (bools, strings and ints beyond float range are
-    not) as a float; ``whole`` asks for a whole number from 0 up, returned as
-    an int (every whole number a command reads is a count or a seed),
-    ``count`` for one up to MAX_COUNT."""
+    not) as a float; ``whole`` asks for a whole number from ``least`` up,
+    returned as an int (every whole number a command reads is a count or a
+    seed), ``count`` for one up to MAX_COUNT."""
     try:  # strings and lists raise TypeError, an int beyond float range OverflowError
         finite = not isinstance(value, bool) and math.isfinite(value)
     except (TypeError, OverflowError):
@@ -93,8 +93,8 @@ def _number(value, key, command, whole=False, count=False):
         raise ConfigError(f"{command} config key {key!r} must be a finite number, got {value!r}")
     if whole and value != int(value):
         raise ConfigError(f"{command} config key {key!r} must be a whole number, got {value!r}")
-    if whole and value < 0:
-        raise ConfigError(f"{command} config key {key!r} must be at least 0, got {value!r}")
+    if whole and value < least:
+        raise ConfigError(f"{command} config key {key!r} must be at least {least}, got {value!r}")
     if count and value > MAX_COUNT:
         raise ConfigError(
             f"{command} config key {key!r} must be at most {MAX_COUNT}, got {value!r}"
@@ -103,11 +103,13 @@ def _number(value, key, command, whole=False, count=False):
 
 
 def _shape(value, key, command):
-    """A nonempty JSON list of counts as a tuple."""
+    """A nonempty JSON list of counts from 1 up as a tuple, checked before
+    any array of that shape is built."""
     if not (isinstance(value, list) and value):
         raise ConfigError(f"{command} config key {key!r} must be a nonempty list, got {value!r}")
     return tuple(
-        _number(v, f"{key}[{i}]", command, whole=True, count=True) for i, v in enumerate(value)
+        _number(v, f"{key}[{i}]", command, whole=True, count=True, least=1)
+        for i, v in enumerate(value)
     )
 
 
@@ -143,9 +145,10 @@ def _check_entries(input_shape, kernel_spatial, width, dilation, command, batch=
 
 def _random_dictionary(spec, label, command):
     """The seeded random bank of a ``random`` spec (keys RANDOM_KEYS, each
-    prefixed by ``label`` in messages): sizes are counts, arrays are bounded."""
+    prefixed by ``label`` in messages): sizes are counts from 1, checked
+    before any taps are drawn; arrays are bounded."""
     def count(key, value):
-        return _number(value, label + key, command, whole=True, count=True)
+        return _number(value, label + key, command, whole=True, count=True, least=1)
 
     _check_keys(spec, RANDOM_KEYS, label, command, required=("input_shape", "kernel_size", "width"))
     input_shape = _shape(spec["input_shape"], label + "input_shape", command)
@@ -184,7 +187,8 @@ def _dictionary_from_config(doc):
     dictionary = dictionary_from_json(dict(
         doc,
         kernels=_taps(doc["kernels"], "dictionary.kernels", "pursue"),
-        dilation=_number(doc["dilation"], "dictionary.dilation", "pursue", whole=True, count=True),
+        dilation=_number(doc["dilation"], "dictionary.dilation", "pursue", whole=True, count=True,
+                         least=1),
         input_shape=_shape(doc["input_shape"], "dictionary.input_shape", "pursue"),
     ))
     conv = getattr(dictionary, "conv", dictionary)

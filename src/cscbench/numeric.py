@@ -36,7 +36,12 @@ def _check_threshold(b, shape):
 def soft_threshold(z, b):
     """S_b(z): shrink toward zero by b, clipping |z| <= b to exactly 0."""
     z = np.asarray(z, dtype=float)
-    b = _check_threshold(b, z.shape)
+    return _shrink(z, _check_threshold(b, z.shape))
+
+
+def _shrink(z, b):
+    """``soft_threshold`` for an array ``z`` and a threshold that
+    ``_check_threshold`` has passed for its shape."""
     return np.sign(z) * np.maximum(np.abs(z) - b, 0.0)
 
 

@@ -16,6 +16,14 @@ exact for dense ones.
 ``lipschitz_constant`` is the exact value from the Gram matrix of the
 dense D that ``dictionary.to_matrix`` builds, an oracle for
 verification-scale dictionaries only.
+
+Each step forms the residual D G - X at the point it steps from and, asked
+for ``residuals``, hands it out beside the code: ``ista``/``fista`` read
+every objective-trace entry from it, so n steps from zero apply D n times,
+once for each step after the first and once for the last code's objective.
+ISTA's entries are the bits of ``lasso_objective``; FISTA's residual is
+recovered from its momentum point and its entries agree to rounding. The
+layer steps ask for no residuals and pay nothing for them.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import numpy as np
 
 from . import dictionary as dct
 from .errors import DivergenceError, InvalidThresholdError, ShapeError
-from .numeric import soft_threshold, symmetric_eigs
+from .numeric import _check_threshold, _shrink, symmetric_eigs
 
 
 @dataclass
@@ -128,14 +136,19 @@ def lasso_objective(problem, code):
             f"code of shape {code.shape} does not match dictionary columns "
             f"{problem.code_length}"
         )
-    residual = problem.signal - dct.apply(problem.dictionary, code)
-    penalty = np.sum(problem.beta * np.abs(code), axis=-1)
-    objective = 0.5 * np.vecdot(residual, residual) + penalty
+    objective = _objective(problem, dct.apply(problem.dictionary, code) - problem.signal, code)
     return float(objective) if code.ndim == 1 else objective
 
 
+def _objective(problem, residual, code):
+    """0.5||r||^2 + sum beta_j |code_j| from the residual r = D code - X."""
+    penalty = (problem.beta * np.abs(code)).sum(axis=-1)
+    return 0.5 * np.vecdot(residual, residual) + penalty
+
+
 def proximal_gradient(
-    dictionary, signal, threshold, step, momentum=False, nonneg=False, init=None
+    dictionary, signal, threshold, step, momentum=False, nonneg=False, init=None,
+    residuals=False,
 ):
     """The package's one ISTA/FISTA iteration (Beck & Teboulle 2009).
 
@@ -144,15 +157,26 @@ def proximal_gradient(
     batches (B, rows)/(B, cols). ``threshold`` (beta * step for a Lasso
     problem) broadcasts against a code; the prox is max(v - threshold, 0)
     with ``nonneg``, which takes negative thresholds (network biases), else
-    the soft threshold. ``init=None`` starts from zero; an ``init`` has the
-    shape of the codes. A non-finite signal, gradient step or iterate raises
-    ``DivergenceError``. No yielded code is written to afterwards.
+    the soft threshold, whose threshold is checked once, at the first step.
+    ``init=None`` starts from zero; an ``init`` has the shape of the codes. A
+    non-finite signal, gradient step or iterate raises ``DivergenceError``.
+    No yielded array is written to afterwards.
+
+    With ``residuals``, each step yields the pair (code, r): r = D G - X at
+    the code before that step (-X from zero), which the step has formed on
+    its way. ISTA's r is the step's own array. FISTA's step forms the
+    residual at its momentum point y = G + m (G - G_prev) instead, and r is
+    recovered as (r(y) + m r(G_prev)) / (1 + m), D being linear: equal to
+    D G - X up to rounding, whose error shrinks by m / (1 + m) < 1/2 a step.
+    The codes are the same bits either way; without ``residuals`` the step
+    scales its residual in place and keeps nothing.
     """
     signal = np.asarray(signal, dtype=float)
     if not np.all(np.isfinite(signal)):
         raise DivergenceError("pursuit signal has non-finite values")
     code = point = None if init is None else np.asarray(init, dtype=float)
-    t_k, buffer = 1.0, None
+    t_k, buffer, scaled, shrink_by, weight = 1.0, None, None, None, 0.0
+    at_code = -signal if residuals else None  # r at ``code``; D 0 - X from zero
     while True:
         # v = point + D.T (step * (X - D point)), scaled on the rows side (the
         # smaller, for an overcomplete D) and updated in place in the
@@ -162,8 +186,16 @@ def proximal_gradient(
         else:
             residual = dct.apply(dictionary, point)
             residual -= signal
-            residual *= -step
-            v = dct.apply_adjoint(dictionary, residual)
+            if residuals:  # keep D point - X, scale a reused copy
+                scaled = np.multiply(residual, -step, out=scaled)
+                v = dct.apply_adjoint(dictionary, scaled)
+                if weight:  # point = code + weight (code - previous code)
+                    residual += weight * at_code
+                    residual /= 1.0 + weight
+                at_code = residual
+            else:
+                residual *= -step
+                v = dct.apply_adjoint(dictionary, residual)
             v += point
         if nonneg:
             v -= threshold
@@ -172,17 +204,20 @@ def proximal_gradient(
             # low <= 0 <= the max, so the sum is finite iff both are
             finite = np.isfinite(low + new.max(initial=0.0))
         else:
-            new = soft_threshold(v, threshold)
-            finite = np.all(np.isfinite(new))
+            if shrink_by is None:
+                shrink_by = _check_threshold(threshold, v.shape)
+            new = _shrink(v, shrink_by)
+            finite = np.isfinite(new).all()
         if not finite:
             raise DivergenceError("pursuit produced non-finite values")
-        yield new
+        yield (new, at_code) if residuals else new
         point = new
         if momentum:
             t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k)) / 2.0
             if code is not None:  # None only from zero, where t_k - 1 = 0
+                weight = (t_k - 1.0) / t_next
                 point = buffer = np.subtract(new, code, out=buffer)  # never yielded
-                point *= (t_k - 1.0) / t_next
+                point *= weight
                 point += new
             t_k = t_next
         code = new
@@ -204,8 +239,14 @@ def last_iterate(iterates, steps):
 
 
 def _solve(problem, config, init, momentum):
-    """``proximal_gradient`` on one signal (a batch fails the objective's
-    shape check), recording the traces; stops once the inf-norm delta < tol."""
+    """``proximal_gradient`` on one signal (rows,), recording the traces; stops
+    once the inf-norm delta < tol. Each step's objective is read from the
+    residual the loop has formed; only the last code's takes an ``apply``."""
+    if problem.signal.ndim != 1:
+        raise ShapeError(
+            f"the per-sample solvers take one signal, got a batch of shape "
+            f"{problem.signal.shape}"
+        )
     start = np.zeros(problem.code_length) if init is None else np.asarray(init, float)
     if start.shape != (problem.code_length,):
         raise ShapeError(
@@ -219,16 +260,17 @@ def _solve(problem, config, init, momentum):
     iterates = proximal_gradient(
         problem.dictionary, problem.signal, np.asarray(problem.beta) / lipschitz,
         1.0 / lipschitz, momentum, config.nonneg, None if init is None else start,
+        residuals=True,
     )
-    trace = [lasso_objective(problem, start)]
-    deltas = []
+    trace, deltas = [], []
     code = start
-    for new in itertools.islice(iterates, config.iterations):
-        deltas.append(float(np.max(np.abs(new - code))) if new.size else 0.0)
+    for new, residual in itertools.islice(iterates, config.iterations):
+        trace.append(float(_objective(problem, residual, code)))
+        deltas.append(float(np.abs(new - code).max()) if new.size else 0.0)
         code = new
-        trace.append(lasso_objective(problem, code))
         if deltas[-1] < config.tol:
             break
+    trace.append(lasso_objective(problem, code))
     return PursuitResult(
         code=code,
         objective_trace=trace,

@@ -515,20 +515,60 @@ def test_oversized_run_exits_two(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+def _random_spec(**entries):
+    return dict(README_PURSUE, dictionary={"random": dict(README_RANDOM, **entries)})
+
+
 @pytest.mark.parametrize(
-    "argv, doc",
+    "argv, doc, message",
     [
-        (["coherence", "--kernel-size", "3", "--input-shape", "0", "--padding", "same"], None),
-        (["pursue"], dict(README_PURSUE, dictionary={"random": dict(README_RANDOM, input_shape=[0, 1])})),
+        (["coherence", "--kernel-size", "3", "--input-shape", "0", "--padding", "same"], None,
+         "coherence config key 'input_shape[0]' must be at least 1, got 0"),
+        (["pursue"], _random_spec(input_shape=[0, 1]),
+         "pursue config key 'dictionary.random.input_shape[0]' must be at least 1, got 0"),
+        (["coherence", "--kernel-size", "3", "--input-shape", "10", "--channels", "0"], None,
+         "coherence config key 'input_shape[1]' must be at least 1, got 0"),
+        (["pursue"], _random_spec(input_shape=[100, 0]),
+         "pursue config key 'dictionary.random.input_shape[1]' must be at least 1, got 0"),
+        (["pursue"], dict(README_PURSUE, dictionary=dict(SERIALIZED_MSD, input_shape=[20, 0])),
+         "pursue config key 'dictionary.input_shape[1]' must be at least 1, got 0"),
+        (["coherence", "--kernel-size", "3x0", "--input-shape", "10x10"], None,
+         "coherence config key 'kernel_size[1]' must be at least 1, got 0"),
+        (["pursue"], _random_spec(kernel_size=0),
+         "pursue config key 'dictionary.random.kernel_size' must be at least 1, got 0"),
     ],
-    ids=["coherence", "pursue"],
+    ids=["coherence", "pursue", "coherence-channels", "pursue-channels", "pursue-serialized",
+         "coherence-kernel", "pursue-kernel"],
 )
-def test_zero_length_axis_exits_two(tmp_path, argv, doc):
+def test_zero_length_axis_exits_two(tmp_path, argv, doc, message):
+    # checked before any taps array is drawn, whose own checks name no key
+    _assert_exits_two(tmp_path, argv, doc, message)
+
+
+def _assert_exits_two(tmp_path, argv, doc, message):
+    """``argv`` (with ``doc`` as its config) prints ``message`` and exits 2
+    before writing anything."""
     if doc is not None:
         (tmp_path / "config.json").write_text(json.dumps(doc))
         argv = argv + ["--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
-    assert _run_argv(argv) == (2, "error: input_shape entries must all be >= 1, got (0, 1)\n")
+    assert _run_argv(argv) == (2, f"error: {message}\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["coherence", "--kernel-size", "3", "--input-shape", "10", "--width", "0"], None,
+         "coherence config key 'width' must be at least 1, got 0"),
+        (["coherence", "--kernel-size", "3", "--input-shape", "10", "--dilation", "0"], None,
+         "coherence config key 'dilation' must be at least 1, got 0"),
+        (["pursue"], dict(README_PURSUE, dictionary=dict(SERIALIZED_MSD, dilation=0)),
+         "pursue config key 'dictionary.dilation' must be at least 1, got 0"),
+    ],
+    ids=["coherence-width", "coherence-dilation", "pursue-serialized-dilation"],
+)
+def test_zero_width_or_dilation_exits_two(tmp_path, argv, doc, message):
+    _assert_exits_two(tmp_path, argv, doc, message)
 
 
 def test_coherence_builds_one_dense_matrix(monkeypatch, capsys):

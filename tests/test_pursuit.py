@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cscbench import dictionary as dct
+from cscbench import pursuit
 from cscbench.dictionary import (
     SAME,
     ConvDictionary,
@@ -414,9 +416,127 @@ def test_iterates_at_rejects_a_count_below_one(rng):
 
 
 def test_solvers_reject_a_batched_problem(rng):
-    problem = LassoProblem(np.eye(3), rng.standard_normal((2, 3)), 0.1)
-    with pytest.raises(ShapeError):
-        ista(problem, PursuitConfig(iterations=2))
+    for batch in (2, 1):  # a batch of one is a batch too
+        problem = LassoProblem(np.eye(3), rng.standard_normal((batch, 3)), 0.1)
+        for solver in (ista, fista):
+            with pytest.raises(ShapeError, match="one signal"):
+                solver(problem, PursuitConfig(iterations=2))
+
+
+# -- objective traces read from the loop's residual ---------------------------------
+
+
+def _trace_problem(kind, beta=0.05):
+    conv = random_dictionary((12, 2), (3,), 3, dilation=2, padding=SAME, seed=3)
+    dictionary = {"conv": conv, "msd": MSDDictionary(conv),
+                  "dense": np.random.default_rng(5).standard_normal((8, 14))}[kind]
+    signal = np.random.default_rng(6).standard_normal(dictionary.shape[0])
+    return LassoProblem(dictionary, signal, beta)
+
+
+def _loop_codes(problem, nonneg, init, momentum, steps):
+    """The codes of ``steps`` steps of the loop without residuals, the path
+    the layer steps run and ``test_fista_matches_textbook_fista`` pins."""
+    lipschitz = lipschitz_bound(problem.dictionary)
+    iterates = proximal_gradient(
+        problem.dictionary, problem.signal, problem.beta / lipschitz, 1.0 / lipschitz,
+        momentum, nonneg, init,
+    )
+    return list(itertools.islice(iterates, steps))
+
+
+TRACE_CASES = list(itertools.product(["conv", "msd", "dense"], [False, True], [False, True]))
+
+
+@pytest.mark.parametrize("kind, from_init, nonneg", TRACE_CASES)
+@pytest.mark.parametrize("solver", [ista, fista], ids=["ista", "fista"])
+def test_trace_entries_are_the_objectives_of_the_loop_codes(kind, from_init, nonneg, solver):
+    problem = _trace_problem(kind)
+    init = (np.random.default_rng(7).uniform(0.0, 0.1, problem.code_length)
+            if from_init else None)
+    config = PursuitConfig(iterations=300, tol=1e-300, nonneg=nonneg)
+    result = solver(problem, config, init)
+    assert result.iterations_run == 300
+    start = np.zeros(problem.code_length) if init is None else init
+    codes = [start] + _loop_codes(problem, nonneg, init, solver is fista, 300)
+    assert np.array_equal(result.code, codes[-1])  # the same bits, momentum or not
+    want = [lasso_objective(problem, code) for code in codes]
+    assert result.objective_trace[0] == want[0] and result.objective_trace[-1] == want[-1]
+    if solver is ista:  # r = D G - X is the step's own array: -(X - D G) exactly
+        assert result.objective_trace == want
+    else:  # recovered from the momentum point's residual
+        err = np.abs(np.subtract(result.objective_trace, want)) / np.abs(want)
+        assert err.max() <= 1e-13
+    for steps in (1, 2, 3, 17):
+        short = solver(problem, PursuitConfig(steps, tol=1e-300, nonneg=nonneg), init)
+        assert np.array_equal(short.code, codes[steps])
+
+
+@pytest.mark.parametrize("momentum", [False, True])
+@pytest.mark.parametrize("from_init", [False, True])
+def test_loop_residuals_are_the_residuals_at_the_previous_code(rng, momentum, from_init):
+    problem = _trace_problem("msd")
+    lipschitz = lipschitz_bound(problem.dictionary)
+    init = rng.uniform(0.0, 0.1, problem.code_length) if from_init else None
+    init_copy = None if init is None else init.copy()
+    pairs = list(itertools.islice(proximal_gradient(
+        problem.dictionary, problem.signal, problem.beta / lipschitz, 1.0 / lipschitz,
+        momentum, False, init, residuals=True,
+    ), 40))
+    copies = [(code.copy(), residual.copy()) for code, residual in pairs]
+    codes = [np.zeros(problem.code_length) if init is None else init]
+    codes += [code for code, _ in pairs]
+    for (code, residual), (code_copy, residual_copy), previous in zip(pairs, copies, codes):
+        assert np.array_equal(code, code_copy)  # no yielded array is written to
+        assert np.array_equal(residual, residual_copy)
+        want = dct.apply(problem.dictionary, previous) - problem.signal
+        assert np.max(np.abs(residual - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(pairs[-1][0], _loop_codes(problem, False, init, momentum, 40)[-1])
+    if init is not None:
+        assert np.array_equal(init, init_copy)
+
+
+@pytest.mark.parametrize("solver", [ista, fista], ids=["ista", "fista"])
+@pytest.mark.parametrize("kind", ["conv", "msd"])
+def test_a_solve_applies_the_dictionary_once_a_step(monkeypatch, solver, kind):
+    problem = _trace_problem(kind)
+    calls = [0]
+    apply = dct.apply
+
+    def counted(*args):
+        calls[0] += 1
+        return apply(*args)
+
+    monkeypatch.setattr(dct, "apply", counted)
+    for steps in (1, 2, 25):
+        calls[0] = 0
+        result = solver(problem, PursuitConfig(iterations=steps, tol=1e-300))
+        assert result.iterations_run == steps
+        # the first step from zero needs no apply, each later one takes one,
+        # and the objective of the last code takes one more
+        assert calls[0] == steps
+        calls[0] = 0
+        solver(problem, PursuitConfig(iterations=steps, tol=1e-300),
+               init=np.zeros(problem.code_length))
+        assert calls[0] == steps + 1  # an init's residual is formed by the first step
+
+
+def test_soft_threshold_is_checked_once_at_the_first_step(rng, monkeypatch):
+    problem = _trace_problem("conv")
+    checks = []
+    check = pursuit._check_threshold
+
+    def counted(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(pursuit, "_check_threshold", counted)
+    iterates = proximal_gradient(problem.dictionary, problem.signal, 0.01, 0.1)
+    last_iterate(iterates, 10)
+    assert len(checks) == 1
+    bad = proximal_gradient(problem.dictionary, problem.signal, np.full(5, 0.01), 0.1)
+    with pytest.raises(ShapeError, match="does not broadcast"):
+        next(bad)
 
 
 # -- layered thresholding: the plain model's forward pass ---------------------------
