@@ -11,8 +11,10 @@ Runs, in one process, with OUTDIR as the working directory:
   (``unfold_sweep_SOLVER_202.csv``);
 * the README's two ``coherence`` commands (``coherence_readme.json`` and the
   guard example, which exits 2);
-* ``pursue`` on the README document and on a serialized ``msd`` document
-  solved by FISTA (the config, the printed JSON and the trace CSV of each);
+* ``pursue`` on the README document, on a serialized ``msd`` document
+  solved by FISTA, on a serialized 2-D ``valid`` bank and on a random 2-D
+  ``same`` bank at dilation 2 (the config, the printed JSON and the trace CSV
+  of each);
 * ``fig4`` with 4 outer iterations (``fig4.csv``, its ``wall_ms`` column
   removed, since that column is measured wall time).
 
@@ -52,6 +54,31 @@ def _msd_pursue():
             "beta": 0.1, "iterations": 300, "nonneg": True, "solver": "fista"}
 
 
+def _valid_2d_pursue():
+    """ISTA on a serialized 2-D bank under valid padding."""
+    bank = random_dictionary((12, 10, 2), (3, 2), 3, dilation=1, padding="valid", seed=4)
+    return {"dictionary": bank.to_json_dict(), "signal": {"seed": 3}, "beta": 0.05,
+            "iterations": 150, "solver": "ista"}
+
+
+SAME_2D_PURSUE = {
+    "dictionary": {"random": {"input_shape": [9, 8, 3], "kernel_size": [3, 3], "width": 4,
+                              "dilation": 2, "padding": "same", "seed": 5}},
+    "signal": {"seed": 6},
+    "beta": 0.05,
+    "iterations": 150,
+    "nonneg": True,
+    "solver": "fista",
+}
+
+PURSUE_CONFIGS = {
+    "pursue_readme": lambda: README_PURSUE,
+    "pursue_msd_fista": _msd_pursue,
+    "pursue_valid_2d": _valid_2d_pursue,
+    "pursue_same_2d_dilated": lambda: SAME_2D_PURSUE,
+}
+
+
 def _commands():
     """(output file, argv) for every command; a None file keeps stdout out."""
     for seed in range(5):
@@ -66,7 +93,7 @@ def _commands():
                                     "--input-shape", "4x4"]
     yield "coherence_guard.json", ["coherence", "--kernel-size", "1", "--input-shape", "1",
                                    "--width", "1000000"]
-    for name in ("pursue_readme", "pursue_msd_fista"):
+    for name in PURSUE_CONFIGS:
         yield f"{name}.json", ["pursue", "--config", f"{name}_config.json",
                                "--out", f"{name}_trace.csv"]
     yield None, ["fig4", "--config", "fig4_config.json", "--out", "fig4"]
@@ -85,8 +112,8 @@ def write_outputs(outdir):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     os.chdir(outdir)
-    Path("pursue_readme_config.json").write_text(json.dumps(README_PURSUE, indent=2))
-    Path("pursue_msd_fista_config.json").write_text(json.dumps(_msd_pursue()))
+    for name, config in PURSUE_CONFIGS.items():
+        Path(f"{name}_config.json").write_text(json.dumps(config(), indent=2))
     Path("fig4_config.json").write_text(json.dumps({"learn": {"outer_iterations": 4}}))
     log = []
     for out, argv in _commands():

@@ -20,8 +20,10 @@ Conventions, fixed package-wide:
     and for dense matrices) return fresh arrays that share no memory with
     their operand or the dictionary; ``pursuit.proximal_gradient`` relies
     on it when it updates their outputs in place. Zero padding is never
-    stored: per tap, the operators read or write only the part of the
-    signal that the tap reaches.
+    stored: a bank's operators see a batch as flat rows on the input grid,
+    so each tap is one flat row offset. Per tap they run one GEMM into a
+    contiguous buffer, zero the few rows whose tap lands outside the signal
+    (they would leak into the next grid row or sample), and add it shifted.
 """
 
 from __future__ import annotations
@@ -116,7 +118,9 @@ class ConvDictionary:
             if len({k.shape for k in kernels}) > 1:
                 raise ShapeError("all kernels must share the same tap shape")
         self.taps = _checked_taps(kernels, dilation)
+        self.width, self.kernel_spatial = len(self.taps), self.taps.shape[1:-1]
         self.dilation = int(dilation)
+        self.dilated_extent = tuple(self.dilation * (k - 1) + 1 for k in self.kernel_spatial)
         input_shape = tuple(int(d) for d in input_shape)
         if len(input_shape) != len(self.kernel_spatial) + 1:
             raise ShapeError(
@@ -140,43 +144,18 @@ class ConvDictionary:
                         "valid padding"
                     )
         self.input_shape = input_shape
+        self.spatial_shape, self.channels = input_shape[:-1], input_shape[-1]
         self.padding = padding
+        if padding == SAME:
+            self.out_spatial = self.spatial_shape
+            self.pad_left = tuple((ext - 1) // 2 for ext in self.dilated_extent)
+        else:
+            self.out_spatial = tuple(d - e + 1 for d, e in zip(input_shape, self.dilated_extent))
+            self.pad_left = (0,) * len(self.spatial_shape)
+        self._code_shape = (*self.out_spatial, self.width)
+        self._code_grid = (slice(None), *map(slice, self.out_spatial))  # the grid's low corner
 
-    # -- geometry: cached, since a dictionary is immutable -------------------
-
-    @property
-    def width(self):
-        return len(self.taps)
-
-    @property
-    def kernel_spatial(self):
-        return self.taps.shape[1:-1]
-
-    @property
-    def channels(self):
-        return self.input_shape[-1]
-
-    @property
-    def spatial_shape(self):
-        return self.input_shape[:-1]
-
-    @cached_property
-    def dilated_extent(self):
-        return tuple(self.dilation * (k - 1) + 1 for k in self.kernel_spatial)
-
-    @cached_property
-    def out_spatial(self):
-        if self.padding == SAME:
-            return self.spatial_shape
-        return tuple(
-            dim - ext + 1 for dim, ext in zip(self.spatial_shape, self.dilated_extent)
-        )
-
-    @cached_property
-    def pad_left(self):
-        if self.padding == VALID:
-            return tuple(0 for _ in self.spatial_shape)
-        return tuple((ext - 1) // 2 for ext in self.dilated_extent)
+    # -- sizes: cached, since a dictionary is immutable ----------------------
 
     @cached_property
     def n_positions(self):
@@ -229,67 +208,125 @@ class ConvDictionary:
         return float(np.linalg.eigvalsh(gram)[:, -1].max())
 
     @cached_property
-    def _kernel_matrix(self):
-        """The taps as (width, n_taps * c_in), tap-major like the windows."""
-        return self.taps.reshape(self.width, -1)  # a read-only view
+    def _tap_table(self):
+        """Per tap, in the taps' order: (block, block_t, offset, lo, end, slabs).
+
+        A tap pairs code row p with signal row p + offset, on the input grid,
+        through its (width, c) block: a view of the taps, as a copy changes
+        some GEMM bits (``block_t`` is its contiguous transpose). Of n rows,
+        [lo, n - end) have a partner. ``slabs[False]`` index, in (B, *spatial),
+        the rows where it lands outside the signal, which would leak into the
+        next grid row or sample, and so every row with no partner; for one
+        signal, ``slabs[True]`` drop the first axis's. A tap outside
+        everywhere has offset 0 and one slab of all rows."""
+        spatial, n_taps = self.spatial_shape, math.prod(self.kernel_spatial)
+        strides = [math.prod(spatial[d + 1 :]) for d in range(len(spatial))]
+        whole = (slice(None),) * (len(spatial) + 1)
+        blocks = self.taps.reshape(self.width, n_taps, self.channels)
+        blocks_t = self._window_kernel.reshape(n_taps, self.channels, self.width)
+        table = []
+        for t_idx, t in enumerate(itertools.product(*map(range, self.kernel_spatial))):
+            offset, slabs = 0, []
+            for d, (tap, left, dim, stride) in enumerate(zip(t, self.pad_left, spatial, strides)):
+                sh = tap * self.dilation - left
+                if abs(sh) >= dim:
+                    offset, slabs = 0, [whole]
+                    break
+                offset += sh * stride
+                if sh:
+                    edge = slice(0, -sh) if sh < 0 else slice(dim - sh, dim)
+                    slabs.append(whole[: d + 1] + (edge,) + whole[d + 2 :])
+            slabs = (slabs, [slab for slab in slabs if slab[1] == whole[1]])
+            block, block_t = blocks[:, t_idx], blocks_t[t_idx]
+            table.append((block, block_t, offset, max(-offset, 0), max(offset, 0), slabs))
+        return tuple(table)
 
     @cached_property
-    def _tap_table(self):
-        """Per tap, a (code-grid slice, signal slice) pair, batch axis first:
-        the positions whose input for that tap lies inside the signal, and
-        those inputs. No padded copy of a signal is ever made."""
-        axes = []
-        for k, dim, out, left in zip(
-            self.kernel_spatial, self.spatial_shape, self.out_spatial, self.pad_left
-        ):
-            shifts = [t * self.dilation - left for t in range(k)]
-            bounds = [(max(0, -sh), max(0, -sh, min(out, dim - sh)), sh) for sh in shifts]
-            axes.append([(slice(lo, hi), slice(lo + sh, hi + sh)) for lo, hi, sh in bounds])
-        return tuple(
-            tuple((slice(None), *sl) for sl in zip(*tap)) for tap in itertools.product(*axes)
-        )
+    def _window_kernel(self):
+        """The taps as (n_taps * c, width), tap-major like the windows."""
+        return self.taps.reshape(self.width, -1).T.copy()
+
+    def _code_rows(self, code):
+        """Codes (B, *out, width) as flat rows (B * N, width) on the input grid."""
+        if self.padding == VALID:
+            grid = np.zeros((len(code), *self.spatial_shape, self.width))
+            grid[self._code_grid] = code
+            code = grid
+        return code.reshape(-1, self.width)
 
     def _windows(self, x):
-        """Signal windows (B, *spatial, c) -> (B * n_positions, n_taps * c):
-        row p holds the taps' inputs at position p, tap-major like the taps."""
-        windows = np.zeros((len(x), *self.out_spatial, len(self._tap_table), self.channels))
-        for t_idx, (code_sl, signal_sl) in enumerate(self._tap_table):
-            windows[(*code_sl, t_idx)] = x[signal_sl]
-        return windows.reshape(len(x) * self.n_positions, -1)
+        """Signal rows (B * N, c) -> (B * N, n_taps * c): row p holds, tap-major
+        like the taps, the signal row each tap pairs with p, or zeros."""
+        n, n_taps = len(x), len(self._tap_table)
+        solo = n * self.channels == self.rows  # one signal: zeros for the rows with no partner
+        windows = (np.zeros if solo else np.empty)((n, n_taps, self.channels))
+        grid = windows.reshape(-1, *self.spatial_shape, n_taps, self.channels)
+        for t, (_, _, offset, lo, end, slabs) in enumerate(self._tap_table):
+            windows[lo : n - end, t] = x[lo + offset : n - end + offset]
+            for slab in slabs[solo]:
+                grid[(*slab, t)] = 0.0
+        return windows.reshape(n, n_taps * self.channels)
 
     # -- matrix-free application: every operand is (*shape) or a batch
     # (B, *shape); an unbatched call is the batch of one, squeezed ---------
 
-    def adjoint_array(self, x):
-        """D.T applied to a signal array (*spatial, c) -> code (*out, width)."""
+    def adjoint_array(self, x, out=None):
+        """D.T applied to a signal array (*spatial, c) -> code (*out, width),
+        written into ``out``, a (B, *out, width) array, when given. Per tap,
+        one GEMM of the signal rows [lo + offset, n - end + offset) into code
+        rows [lo, n - end) of a buffer, its slabs zeroed, and one contiguous
+        add. One channel or one signal takes one GEMM of the windows instead:
+        (n, 1) @ (1, width) GEMMs are slow, and one signal's extra GEMM calls
+        cost more than the window copies."""
         xb, batched = _as_batch(x, self.input_shape, "signal")
-        code = self._windows(xb) @ self._kernel_matrix.T
-        code = code.reshape(len(xb), *self.out_spatial, self.width)
+        rows = xb.reshape(-1, self.channels)
+        n = len(rows)
+        if self.channels == 1 or len(xb) == 1:
+            code = self._windows(rows) @ self._window_kernel
+        else:
+            code, part = np.empty((n, self.width)), np.empty((n, self.width))
+            for t, (_, block_t, offset, lo, end, slabs) in enumerate(self._tap_table):
+                buf = part if t else code  # the first tap writes the sum itself
+                np.matmul(rows[lo + offset : n - end + offset], block_t, out=buf[lo : n - end])
+                for slab in slabs[False]:
+                    buf.reshape(len(xb), *self.spatial_shape, self.width)[slab] = 0.0
+                if t:
+                    code += part
+        code = code.reshape(len(xb), *self.spatial_shape, self.width)
+        if self.padding == VALID:
+            code = code[self._code_grid]
+        if out is not None:
+            out[...] = code
+            code = out
         return code if batched else code[0]
 
     def apply_array(self, code):
         """D applied to a code array (*out, width) -> signal (*spatial, c): per
-        tap one GEMM (B * n_positions, width) @ (width, c), added into the
-        signal where that tap lands inside it."""
-        cb, batched = _as_batch(code, (*self.out_spatial, self.width), "code")
-        flat = cb.reshape(-1, self.width)
-        signal = np.zeros((len(cb), *self.input_shape))
-        contrib = np.empty((len(flat), self.channels))
-        tap_blocks = self._kernel_matrix.reshape(self.width, -1, self.channels)
-        for t_idx, (code_sl, signal_sl) in enumerate(self._tap_table):
-            np.matmul(flat, tap_blocks[:, t_idx], out=contrib)
-            signal[signal_sl] += contrib.reshape(len(cb), *self.out_spatial, self.channels)[code_sl]
+        tap, one GEMM (B * N, width) @ (width, c) into a contiguous buffer, its
+        slabs zeroed, and one contiguous add of its rows [lo, n - end) into the
+        signal rows ``offset`` further on."""
+        cb, batched = _as_batch(code, self._code_shape, "code")
+        flat = self._code_rows(cb)
+        n = len(flat)
+        signal, contrib = np.zeros((n, self.channels)), np.empty((n, self.channels))
+        grid, solo = contrib.reshape(len(cb), *self.input_shape), len(cb) == 1
+        for block, _, offset, lo, end, slabs in self._tap_table:
+            np.matmul(flat, block, out=contrib)
+            for slab in slabs[solo]:  # rows with no partner are not read
+                grid[slab] = 0.0
+            signal[lo + offset : n - end + offset] += contrib[lo : n - end]
+        signal = signal.reshape(len(cb), *self.input_shape)
         return signal if batched else signal[0]
 
     def apply(self, code):
         cb, batched = _as_batch(code, (self.cols,), "code")
-        signal = self.apply_array(cb.reshape(-1, *self.out_spatial, self.width))
-        return signal.reshape(-1, self.rows) if batched else signal[0].ravel()
+        signal = self.apply_array(cb.reshape(-1, *self._code_shape))
+        return signal.reshape(-1, self.rows) if batched else signal.reshape(self.rows)
 
     def apply_adjoint(self, signal):
         sb, batched = _as_batch(signal, (self.rows,), "signal")
         code = self.adjoint_array(sb.reshape(-1, *self.input_shape))
-        return code.reshape(-1, self.cols) if batched else code[0].ravel()
+        return code.reshape(-1, self.cols) if batched else code.reshape(self.cols)
 
     def tap_correlation(self, signal, code):
         """d/dtaps of sum_b <signal_b, D code_b> for flat batches (B, rows) and
@@ -299,9 +336,9 @@ class ConvDictionary:
         cb, _ = _as_batch(code, (self.cols,), "code")
         if len(sb) != len(cb):
             raise ShapeError(f"{len(sb)} signals but {len(cb)} codes")
-        windows = self._windows(sb.reshape(-1, *self.input_shape))
-        grads = cb.reshape(-1, self.width).T @ windows
-        return grads.reshape(self.width, *self.kernel_spatial, self.channels)
+        windows = self._windows(sb.reshape(-1, self.channels))
+        codes = self._code_rows(cb.reshape(-1, *self._code_shape))
+        return (codes.T @ windows).reshape(self.width, *self.kernel_spatial, self.channels)
 
     # -- serialization -------------------------------------------------------
 
@@ -350,15 +387,18 @@ class MSDDictionary:
         return (self.rows, self.cols)
 
     def apply(self, code):
-        code, batched = _as_batch(code, (self.cols,), "code")
-        code = code if batched else code[0]
-        signal = self.conv.apply(code[..., self.rows :])
-        signal += code[..., : self.rows]
-        return signal
+        cb, batched = _as_batch(code, (self.cols,), "code")
+        signal = self.conv.apply(cb[:, self.rows :])
+        signal += np.ascontiguousarray(cb[:, : self.rows])  # a strided add is slow
+        return signal if batched else signal[0]
 
     def apply_adjoint(self, signal):
-        conv_part = self.conv.apply_adjoint(signal)
-        return np.concatenate([np.asarray(signal, dtype=float), conv_part], axis=-1)
+        sb, batched = _as_batch(signal, (self.rows,), "signal")
+        out = np.empty((len(sb), self.cols))  # [x | D.T x], D.T x written in place
+        out[:, : self.rows] = sb
+        conv_part = out[:, self.rows :].reshape(-1, *self.conv._code_shape)
+        self.conv.adjoint_array(sb.reshape(-1, *self.conv.input_shape), out=conv_part)
+        return out if batched else out[0]
 
     def to_json_dict(self):
         doc = self.conv.to_json_dict()

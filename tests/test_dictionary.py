@@ -32,6 +32,7 @@ from cscbench.errors import (
     MaterializationError,
     ShapeError,
 )
+from cscbench_oracles import strided_adjoint_array, strided_apply_array
 from strategies import conv_dictionaries
 
 
@@ -181,6 +182,118 @@ def test_batched_operators_match_dense(conv, batch, seed):
     assert conv.adjoint_array(signal_arrays).shape == (batch,) + code_arrays.shape[1:]
     with pytest.raises(ShapeError):
         conv.apply(codes[:, :1].reshape(batch, 1, 1))
+
+
+def _loud_boundary(arr, rank):
+    """``arr`` (B, *grid, m) with its entries on the boundary of the grid 1e6
+    times larger, so that a pairing that leaks across a grid row or into the
+    next sample shows."""
+    edge = np.zeros(arr.shape[1 : 1 + rank], dtype=bool)
+    for axis in range(rank):
+        edge[(slice(None),) * axis + (0,)] = edge[(slice(None),) * axis + (-1,)] = True
+    return np.where(edge[None, ..., None], 1e6 * arr, arr)
+
+
+@given(conv_dictionaries(), st.booleans(), st.integers(0, 7), st.integers(0, 2**31 - 1))
+def test_a_batch_equals_its_per_sample_calls(conv, lift, batch, seed):
+    # each row of a batched call is the call on that sample alone, to 1e-13 of
+    # that sample's scale (bitwise is out of reach: BLAS results depend on the
+    # GEMM's row count), and the dense product to 1e-12
+    rng = np.random.default_rng(seed)
+    rank = len(conv.spatial_shape)
+    codes = _loud_boundary(rng.standard_normal((batch, *conv.out_spatial, conv.width)), rank)
+    signals = _loud_boundary(rng.standard_normal((batch, *conv.input_shape)), rank)
+    op = MSDDictionary(conv) if lift and conv.padding == SAME else conv
+    flat_codes, flat_signals = codes.reshape(batch, conv.cols), signals.reshape(batch, conv.rows)
+    lifted_codes = flat_codes
+    if op is not conv:  # the identity slot takes a signal-shaped code
+        lifted_codes = np.hstack([flat_signals[::-1], flat_codes])
+    mat, conv_mat = to_matrix(op), to_matrix(conv)
+    # a gain bounds |output| / max|operand|: D's largest absolute row or column sum
+    for fn, arg, want, gain in (
+        (op.apply, lifted_codes, lifted_codes @ mat.T, np.abs(mat).sum(axis=1).max()),
+        (op.apply_adjoint, flat_signals, flat_signals @ mat, np.abs(mat).sum(axis=0).max()),
+        (conv.apply_array, codes, (flat_codes @ conv_mat.T).reshape(signals.shape),
+         np.abs(conv_mat).sum(axis=1).max()),
+        (conv.adjoint_array, signals, (flat_signals @ conv_mat).reshape(codes.shape),
+         np.abs(conv_mat).sum(axis=0).max()),
+    ):
+        got = fn(arg)
+        assert got.shape == want.shape
+        for b in range(batch):
+            scale = np.max(np.abs(arg[b])) * gain
+            assert np.max(np.abs(got[b] - fn(arg[b]))) <= 1e-13 * scale
+            assert np.max(np.abs(got[b] - want[b])) <= 1e-12 * scale
+    grads = conv.tap_correlation(flat_signals, flat_codes)
+    per_sample = [conv.tap_correlation(s, c) for s, c in zip(flat_signals, flat_codes)]
+    scale = sum(np.max(np.abs(s)) * np.sum(np.abs(c)) for s, c in zip(signals, codes))
+    assert np.max(np.abs(grads - sum(per_sample, np.zeros_like(grads))), initial=0) <= 1e-13 * scale
+    want = project_to_kernel_grad(flat_signals.T @ flat_codes, conv)
+    assert np.max(np.abs(grads - want), initial=0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "input_shape, width, dilation, batch",
+    [
+        ((100, 1), 16, 1, 25),  # fig4 layer 1
+        ((100, 16), 16, 2, 25),  # fig4 layer 2, plain model
+        ((100, 17), 16, 2, 25),  # fig4 layer 2, dense model
+        ((50, 1), 8, 1, 25),  # unfold-sweep layer 1
+        ((50, 9), 8, 2, 25),  # unfold-sweep layer 2
+        ((100, 1), 4, 1, 1),  # lasso_solve, the README problem
+        ((100, 17), 16, 2, 1),  # lasso_solve, the layer-2 problem
+    ],
+)
+def test_flat_operators_match_the_strided_oracle_at_workload_shapes(
+    rng, input_shape, width, dilation, batch
+):
+    conv = random_dictionary(input_shape, (3,), width, dilation=dilation, padding=SAME, seed=0)
+    codes = rng.standard_normal((batch, *conv.out_spatial, width))
+    signals = rng.standard_normal((batch, *input_shape))
+    assert np.array_equal(conv.apply_array(codes), strided_apply_array(conv, codes))
+    assert np.array_equal(conv.apply_array(codes[0]), strided_apply_array(conv, codes[:1])[0])
+    want = strided_adjoint_array(conv, signals)
+    assert np.max(np.abs(conv.adjoint_array(signals) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "input_shape, kernel, dilation, padding",
+    [((7, 2), (3,), 2, SAME), ((7, 1), (3,), 2, VALID), ((5, 4, 2), (2, 3), 1, VALID),
+     ((5, 4, 1), (3, 2), 2, SAME), ((3, 2), (5,), 3, SAME)],
+)
+def test_empty_batches_give_empty_outputs(input_shape, kernel, dilation, padding):
+    conv = random_dictionary(input_shape, kernel, 3, dilation=dilation, padding=padding, seed=0)
+    for op in [conv] + ([MSDDictionary(conv)] if padding == SAME else []):
+        assert op.apply(np.zeros((0, op.cols))).shape == (0, op.rows)
+        assert op.apply_adjoint(np.zeros((0, op.rows))).shape == (0, op.cols)
+    code_shape = (*conv.out_spatial, conv.width)
+    assert conv.apply_array(np.zeros((0, *code_shape))).shape == (0, *conv.input_shape)
+    assert conv.adjoint_array(np.zeros((0, *conv.input_shape))).shape == (0, *code_shape)
+    grads = conv.tap_correlation(np.zeros((0, conv.rows)), np.zeros((0, conv.cols)))
+    assert grads.shape == conv.taps.shape and not grads.any()
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("lead", [(), (1,), (5,)])
+@pytest.mark.parametrize("lift", [False, True])
+def test_outputs_are_fresh_and_leave_the_operand_alone(rng, channels, lead, lift):
+    # proximal_gradient updates outputs in place: a cached buffer handed out
+    # twice, or an output aliasing its operand or the taps, would corrupt it
+    conv = random_dictionary((30, channels), (3,), 4, dilation=2, padding=SAME, seed=0)
+    op = MSDDictionary(conv) if lift else conv
+    calls = [(op.apply, (op.cols,)), (op.apply_adjoint, (op.rows,))]
+    if not lift:
+        calls += [(conv.apply_array, (*conv.out_spatial, conv.width)),
+                  (conv.adjoint_array, conv.input_shape)]
+    for fn, shape in calls:
+        operand = rng.standard_normal(lead + shape)
+        before = operand.copy()
+        first, second = fn(operand), fn(operand)
+        assert np.array_equal(operand, before) and np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        cached = [conv.taps, conv._window_kernel, *(a for tap in conv._tap_table for a in tap[:2])]
+        for out in (first, second):
+            assert not any(np.shares_memory(out, a) for a in [operand, *cached])
 
 
 def test_msd_matrix_is_identity_then_conv_block():
