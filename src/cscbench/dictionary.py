@@ -209,16 +209,17 @@ class ConvDictionary:
 
     @cached_property
     def _tap_table(self):
-        """Per tap, in the taps' order: (block, block_t, offset, lo, end, slabs).
+        """Per tap, in the taps' order: (block, block_t, offset, lo, end, slabs, inner).
 
         A tap pairs code row p with signal row p + offset, on the input grid,
         through its (width, c) block: a view of the taps, as a copy changes
         some GEMM bits (``block_t`` is its contiguous transpose). Of n rows,
-        [lo, n - end) have a partner. ``slabs[False]`` index, in (B, *spatial),
-        the rows where it lands outside the signal, which would leak into the
-        next grid row or sample, and so every row with no partner; for one
-        signal, ``slabs[True]`` drop the first axis's. A tap outside
-        everywhere has offset 0 and one slab of all rows."""
+        [lo, n - end) have a partner. ``slabs`` index, in (B, *spatial), the
+        rows where it lands outside the signal, which would leak into the next
+        grid row or sample, and so every row with no partner. ``inner`` are
+        the slabs of every axis but the first, which one signal needs: its
+        first axis's slab rows that have a partner lie in another slab. A tap
+        outside everywhere has offset 0 and one slab of all rows."""
         spatial, n_taps = self.spatial_shape, math.prod(self.kernel_spatial)
         strides = [math.prod(spatial[d + 1 :]) for d in range(len(spatial))]
         whole = (slice(None),) * (len(spatial) + 1)
@@ -236,15 +237,17 @@ class ConvDictionary:
                 if sh:
                     edge = slice(0, -sh) if sh < 0 else slice(dim - sh, dim)
                     slabs.append(whole[: d + 1] + (edge,) + whole[d + 2 :])
-            slabs = (slabs, [slab for slab in slabs if slab[1] == whole[1]])
             block, block_t = blocks[:, t_idx], blocks_t[t_idx]
-            table.append((block, block_t, offset, max(-offset, 0), max(offset, 0), slabs))
+            inner = [slab for slab in slabs if slab[1] == whole[1]]
+            table.append((block, block_t, offset, max(-offset, 0), max(offset, 0), slabs, inner))
         return tuple(table)
 
     @cached_property
     def _window_kernel(self):
         """The taps as (n_taps * c, width), tap-major like the windows."""
-        return self.taps.reshape(self.width, -1).T.copy()
+        kernel = self.taps.reshape(self.width, -1).T.copy()
+        kernel.flags.writeable = False
+        return kernel
 
     def _code_rows(self, code):
         """Codes (B, *out, width) as flat rows (B * N, width) on the input grid."""
@@ -261,23 +264,22 @@ class ConvDictionary:
         solo = n * self.channels == self.rows  # one signal: zeros for the rows with no partner
         windows = (np.zeros if solo else np.empty)((n, n_taps, self.channels))
         grid = windows.reshape(-1, *self.spatial_shape, n_taps, self.channels)
-        for t, (_, _, offset, lo, end, slabs) in enumerate(self._tap_table):
+        for t, (_, _, offset, lo, end, slabs, inner) in enumerate(self._tap_table):
             windows[lo : n - end, t] = x[lo + offset : n - end + offset]
-            for slab in slabs[solo]:
+            for slab in inner if solo else slabs:
                 grid[(*slab, t)] = 0.0
         return windows.reshape(n, n_taps * self.channels)
 
     # -- matrix-free application: every operand is (*shape) or a batch
     # (B, *shape); an unbatched call is the batch of one, squeezed ---------
 
-    def adjoint_array(self, x, out=None):
-        """D.T applied to a signal array (*spatial, c) -> code (*out, width),
-        written into ``out``, a (B, *out, width) array, when given. Per tap,
-        one GEMM of the signal rows [lo + offset, n - end + offset) into code
-        rows [lo, n - end) of a buffer, its slabs zeroed, and one contiguous
-        add. One channel or one signal takes one GEMM of the windows instead:
-        (n, 1) @ (1, width) GEMMs are slow, and one signal's extra GEMM calls
-        cost more than the window copies."""
+    def adjoint_array(self, x):
+        """D.T applied to a signal array (*spatial, c) -> code (*out, width):
+        per tap, one GEMM of the signal rows [lo + offset, n - end + offset)
+        into code rows [lo, n - end) of a buffer, its slabs zeroed, and one
+        contiguous add. One channel or one signal takes one GEMM of the
+        windows instead: (n, 1) @ (1, width) GEMMs are slow, and one signal's
+        extra GEMM calls cost more than the window copies."""
         xb, batched = _as_batch(x, self.input_shape, "signal")
         rows = xb.reshape(-1, self.channels)
         n = len(rows)
@@ -285,19 +287,16 @@ class ConvDictionary:
             code = self._windows(rows) @ self._window_kernel
         else:
             code, part = np.empty((n, self.width)), np.empty((n, self.width))
-            for t, (_, block_t, offset, lo, end, slabs) in enumerate(self._tap_table):
+            for t, (_, block_t, offset, lo, end, slabs, _) in enumerate(self._tap_table):
                 buf = part if t else code  # the first tap writes the sum itself
                 np.matmul(rows[lo + offset : n - end + offset], block_t, out=buf[lo : n - end])
-                for slab in slabs[False]:
+                for slab in slabs:
                     buf.reshape(len(xb), *self.spatial_shape, self.width)[slab] = 0.0
                 if t:
                     code += part
         code = code.reshape(len(xb), *self.spatial_shape, self.width)
         if self.padding == VALID:
             code = code[self._code_grid]
-        if out is not None:
-            out[...] = code
-            code = out
         return code if batched else code[0]
 
     def apply_array(self, code):
@@ -309,10 +308,10 @@ class ConvDictionary:
         flat = self._code_rows(cb)
         n = len(flat)
         signal, contrib = np.zeros((n, self.channels)), np.empty((n, self.channels))
-        grid, solo = contrib.reshape(len(cb), *self.input_shape), len(cb) == 1
-        for block, _, offset, lo, end, slabs in self._tap_table:
+        grid = contrib.reshape(len(cb), *self.input_shape)
+        for block, _, offset, lo, end, slabs, inner in self._tap_table:
             np.matmul(flat, block, out=contrib)
-            for slab in slabs[solo]:  # rows with no partner are not read
+            for slab in inner if len(cb) == 1 else slabs:  # rows with no partner are not read
                 grid[slab] = 0.0
             signal[lo + offset : n - end + offset] += contrib[lo : n - end]
         signal = signal.reshape(len(cb), *self.input_shape)
@@ -394,10 +393,9 @@ class MSDDictionary:
 
     def apply_adjoint(self, signal):
         sb, batched = _as_batch(signal, (self.rows,), "signal")
-        out = np.empty((len(sb), self.cols))  # [x | D.T x], D.T x written in place
+        out = np.empty((len(sb), self.cols))  # [x | D.T x]
         out[:, : self.rows] = sb
-        conv_part = out[:, self.rows :].reshape(-1, *self.conv._code_shape)
-        self.conv.adjoint_array(sb.reshape(-1, *self.conv.input_shape), out=conv_part)
+        out[:, self.rows :] = self.conv.apply_adjoint(sb)
         return out if batched else out[0]
 
     def to_json_dict(self):

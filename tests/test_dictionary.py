@@ -292,6 +292,7 @@ def test_outputs_are_fresh_and_leave_the_operand_alone(rng, channels, lead, lift
         assert np.array_equal(operand, before) and np.array_equal(first, second)
         assert not np.shares_memory(first, second)
         cached = [conv.taps, conv._window_kernel, *(a for tap in conv._tap_table for a in tap[:2])]
+        assert not any(a.flags.writeable for a in cached)
         for out in (first, second):
             assert not any(np.shares_memory(out, a) for a in [operand, *cached])
 
