@@ -7,7 +7,10 @@ of residual windows with the codes (``ConvDictionary.tap_correlation``), so
 no dictionary is materialized; the per-sample solvers in
 :mod:`cscbench.pursuit` stay the reference implementation. Training pursuits
 step by the paper's 1/(2 lambda_bar) = 1/``lipschitz_bound``; the logging probe,
-no model layer, runs FISTA at 1/lambda_bar, as lambda_bar >= lambda_max(D.T D).
+no model layer, runs FISTA on each conv bank D alone at 1/lambda_bar, as
+lambda_bar = ``lmax_bound`` >= lambda_max(D.T D). On a dense layer it pursues
+the Huber loss that the [I | D] Lasso leaves once its identity slot is solved
+in closed form, and fills that slot afterwards (``_probe``).
 """
 
 from __future__ import annotations
@@ -57,8 +60,10 @@ class LearnConfig:
     seed: int = 0
     batch_size: int = 128
     probe_size: int = 64
-    # probe FISTA depths at step 1/lambda_bar; FISTA's worst-case gap
-    # 2L||x*||^2/(k+1)^2 is no larger than at 80 and 400 steps of 1/(2 lambda_bar).
+    # probe FISTA depths on the conv bank D at step 1/lambda_bar, lambda_bar =
+    # D's lmax_bound (the dense model's identity slot in closed form); FISTA's
+    # worst-case gap 2L||x*||^2/(k+1)^2 is no larger than at 80 and 400 steps
+    # of 1/(2 lambda_bar).
     probe_iterations: int = 57
     # deeper pursuit for the first (cheap) probe layer: the logged objective
     # comparison needs near-optimal codes, the chain layers only need
@@ -114,10 +119,11 @@ _BLOCK = 25
 def _in_blocks(fn, *batches):
     """``fn`` on aligned blocks of the batches' samples, which returns a tuple
     of per-sample arrays; filled into outputs rather than concatenated, which
-    would hold every block twice."""
+    would hold every block twice. Zero samples make one empty block, so the
+    outputs are empty arrays of their usual shapes."""
     n = len(batches[0])
     outputs = None
-    for i in range(0, n, _BLOCK):
+    for i in range(0, max(n, 1), _BLOCK):
         parts = fn(*(batch[i : i + _BLOCK] for batch in batches))
         if outputs is None:
             outputs = [np.empty((n,) + part.shape[1:]) for part in parts]
@@ -126,20 +132,44 @@ def _in_blocks(fn, *batches):
     return outputs
 
 
-def _pursue(dictionary, signals, beta, iterations, momentum, lipschitz=None):
+def _pursue(dictionary, signals, beta, iterations, momentum, lipschitz=None, huber=None):
     """Nonnegative ISTA (FISTA with ``momentum``) from zero over a batch
     of flat signals (B, rows), stepping by 1 / ``lipschitz``, by default the
-    layers' certified ``lipschitz_bound``; run in blocks of ``_BLOCK``."""
+    layers' certified ``lipschitz_bound``; run in blocks of ``_BLOCK``.
+    ``huber`` is ``proximal_gradient``'s Huber loss."""
     if lipschitz is None:
         lipschitz = lipschitz_bound(dictionary)
 
     def pursue(block):
         iterates = proximal_gradient(
-            dictionary, block, beta / lipschitz, 1.0 / lipschitz, momentum, nonneg=True
+            dictionary, block, beta / lipschitz, 1.0 / lipschitz, momentum, nonneg=True,
+            huber=huber,
         )
         return (last_iterate(iterates, iterations),)
 
     return _in_blocks(pursue, signals)[0]
+
+
+def _probe(bank, signals, beta, iterations, msd):
+    """The logging probe's codes for a batch (B, rows): nonnegative FISTA
+    from zero at 1/lambda_bar, lambda_bar = ``bank.lmax_bound``.
+
+    A dense layer's [I | D] Lasso is pursued on D alone: the best identity
+    code for a conv code z is u = max(x - D z - beta, 0), which leaves
+    sum_j huber_beta((x - D z)_j) + beta 1.T z, 1-smooth in the residual, so
+    its step is 1/lambda_bar too. From z = 0, a signal whose first step
+    stays at zero is a fixed point, and (max(x - beta, 0), 0) its optimum;
+    only the others run on. The test is that first step itself, so a skipped
+    signal keeps the bits its own run would have given it.
+    """
+    lmax = bank.lmax_bound
+    if not msd:
+        return _pursue(bank, signals, beta, iterations, True, lmax)
+    codes = np.zeros((len(signals), bank.cols))
+    live = np.flatnonzero(_pursue(bank, signals, beta, 1, True, lmax, beta).any(axis=1))
+    codes[live] = _pursue(bank, signals[live], beta, iterations, True, lmax, beta)
+    identity = np.maximum(signals - bank.apply(codes) - beta, 0.0)
+    return np.hstack([identity, codes])
 
 
 def _next_input(codes, layer, msd):
@@ -205,14 +235,13 @@ def learn_dictionaries(model, dataset, config):
 
         # probe: pursue the whole chain on held-out signals, reconstruct
         # back down through every layer, and count the signal dimensions
-        # whose reconstruction error exceeds 2 beta_1; FISTA at 1/lambda_bar
+        # whose reconstruction error exceeds 2 beta_1
         dictionaries = [layer.dictionary(msd) for layer in model.layers]
         probe_codes = []
         x = probe
         for i, layer in enumerate(model.layers):
             iterations = config.probe_iterations if i else config.objective_iterations
-            lambda_bar = lipschitz_bound(dictionaries[i]) / 2.0
-            codes = _pursue(dictionaries[i], x, betas[i], iterations, True, lambda_bar)
+            codes = _probe(layer.kernel_bank, x, betas[i], iterations, msd)
             probe_codes.append(codes)
             x = _next_input(codes, layer, msd)
         recon = probe_codes[-1]

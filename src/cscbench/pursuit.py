@@ -7,8 +7,10 @@ is the plain model's forward pass) and the batched pursuits of
 :mod:`cscbench.learning` all run it. Steps are 1/L with
 L = 2 * lambda_max(D.T D), the constant stated alongside the update rule
 (the tight one is lambda_max(D.T D)); ``lipschitz_override`` sets another. Only the logging probe of
-:mod:`cscbench.learning`, a measurement rather than a model layer, takes
-twice that step: FISTA at 1/lambda_bar, lambda_bar = ``lipschitz_bound / 2``.
+:mod:`cscbench.learning`, a measurement rather than a model layer, steps
+otherwise: FISTA at 1/lambda_bar on the conv bank D alone, lambda_bar =
+``lmax_bound``, with the Huber loss (``huber``) on a dense layer, whose
+identity slot it fills in closed form.
 ``lipschitz_bound`` gives every solver's L: certified, never below the
 true constant, as the ISTA/FISTA rates need (Beck & Teboulle 2009); a
 closed form from the taps' DFT for conv dictionaries, +2 for [I | D],
@@ -148,7 +150,7 @@ def _objective(problem, residual, code):
 
 def proximal_gradient(
     dictionary, signal, threshold, step, momentum=False, nonneg=False, init=None,
-    residuals=False,
+    residuals=False, huber=None,
 ):
     """The package's one ISTA/FISTA iteration (Beck & Teboulle 2009).
 
@@ -170,10 +172,17 @@ def proximal_gradient(
     D G - X up to rounding, whose error shrinks by m / (1 + m) < 1/2 a step.
     The codes are the same bits either way; without ``residuals`` the step
     scales its residual in place and keeps nothing.
+
+    With ``huber`` = h, the smooth part is sum_j huber_h((X - D G)_j) in
+    place of 0.5||X - D G||^2: 1-smooth too, with gradient
+    -D.T min(X - D G, h), so each step clips its residual at -h before the
+    adjoint (min(X, h) on the first). No residuals are handed out with it.
     """
     signal = np.asarray(signal, dtype=float)
     if not np.all(np.isfinite(signal)):
         raise DivergenceError("pursuit signal has non-finite values")
+    if huber is not None and residuals:
+        raise ShapeError("a Huber-loss run hands out no residuals")
     code = point = None if init is None else np.asarray(init, dtype=float)
     t_k, buffer, scaled, shrink_by, weight = 1.0, None, None, None, 0.0
     at_code = -signal if residuals else None  # r at ``code``; D 0 - X from zero
@@ -182,7 +191,9 @@ def proximal_gradient(
         # smaller, for an overcomplete D) and updated in place in the
         # operators' fresh outputs: on batches, memory traffic sets the speed
         if point is None:
-            v = dct.apply_adjoint(dictionary, step * signal)
+            v = dct.apply_adjoint(
+                dictionary, step * (signal if huber is None else np.minimum(signal, huber))
+            )
         else:
             residual = dct.apply(dictionary, point)
             residual -= signal
@@ -194,6 +205,8 @@ def proximal_gradient(
                     residual /= 1.0 + weight
                 at_code = residual
             else:
+                if huber is not None:
+                    np.maximum(residual, -huber, out=residual)
                 residual *= -step
                 v = dct.apply_adjoint(dictionary, residual)
             v += point

@@ -4,6 +4,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cscbench.cli import main
 from cscbench.data import SyntheticDatasetSpec, classify, generate_dataset
@@ -17,6 +19,8 @@ from cscbench.learning import (
     SWEEP_HEADER,
     _fraction_beta,
     _next_input,
+    _in_blocks,
+    _probe,
     _pursue,
     _update_kernels,
     build_fig_models,
@@ -27,16 +31,18 @@ from cscbench.learning import (
     write_experiment_csv,
     write_sweep_csv,
 )
-from cscbench.models import LayerParams, msdcsc_layer_forward, stack_to_code
+from cscbench.models import LayerParams, model_from_config, msdcsc_layer_forward, stack_to_code
 from cscbench.pursuit import (
     LassoProblem,
     PursuitConfig,
+    fista,
     ista,
     lasso_objective,
     last_iterate,
     lipschitz_bound,
     proximal_gradient,
 )
+from cscbench_oracles import reference_learn
 
 
 def tiny_spec(**overrides):
@@ -94,6 +100,108 @@ def test_blocked_pursue_matches_one_unblocked_run(rng, batch, momentum):
         got = _pursue(dictionary, signals, 0.1, 12, momentum)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_empty_batch_gives_empty_outputs():
+    conv = random_dictionary((12, 2), (3,), 3, dilation=2, padding=SAME)
+    signals = np.empty((0, conv.rows))
+    for dictionary in (conv, MSDDictionary(conv)):
+        assert _pursue(dictionary, signals, 0.1, 5, True).shape == (0, dictionary.cols)
+    codes, residuals = _in_blocks(
+        lambda block: (conv.apply_adjoint(block), block[:, :3]), signals
+    )
+    assert codes.shape == (0, conv.cols) and residuals.shape == (0, 3)
+    for msd in (False, True):
+        cols = MSDDictionary(conv).cols if msd else conv.cols
+        assert _probe(conv, signals, 0.1, 5, msd).shape == (0, cols)
+
+
+@settings(max_examples=30)
+@given(
+    n=st.integers(4, 12),
+    channels=st.integers(1, 2),
+    width=st.integers(1, 3),
+    kernel=st.integers(1, 3),
+    dilation=st.integers(1, 3),
+    positive=st.booleans(),
+    beta=st.floats(0.01, 1.0),
+    scale=st.floats(0.01, 3.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_dense_probe_closed_form_is_the_optimum(
+    n, channels, width, kernel, dilation, positive, beta, scale, seed
+):
+    bank = random_dictionary((n, channels), (kernel,), width, dilation=dilation, padding=SAME,
+                             seed=seed)
+    if positive:  # kernels whose taps sum past 1 correlate past beta with large signals
+        bank = dictionary.ConvDictionary(np.abs(bank.taps), bank.input_shape, SAME,
+                                         dilation=dilation)
+    dense = MSDDictionary(bank)
+    rng = np.random.default_rng(seed)
+    x = scale * rng.uniform(0.0, 1.0, dense.rows) * (rng.uniform(size=dense.rows) < 0.7)
+    problem = LassoProblem(to_matrix(dense), x, beta)
+    closed = np.concatenate([np.maximum(x - beta, 0.0), np.zeros(bank.cols)])  # zero conv code
+    certified = not _pursue(bank, x[None], beta, 1, True, bank.lmax_bound, beta).any()
+    if certified:
+        assert np.array_equal(_probe(bank, x[None], beta, 3, True)[0], closed)
+        reference = fista(problem, PursuitConfig(3000, tol=1e-300, nonneg=True))
+        want = lasso_objective(problem, closed)
+        assert lasso_objective(problem, reference.code) >= want - 1e-12 * want
+        return
+    # the KKT test of the zero conv code fails by a clear margin at column j
+    gradient = bank.apply_adjoint(np.minimum(x, beta)) - beta
+    j = int(np.argmax(gradient))
+    assume(gradient[j] > 1e-3)
+    # so a conv code along e_j, its identity code in closed form, does better
+    step = np.zeros(bank.cols)
+    step[j] = gradient[j] / np.sum(to_matrix(bank)[:, j] ** 2)
+    better = np.concatenate([np.maximum(x - bank.apply(step) - beta, 0.0), step])
+    assert lasso_objective(problem, better) < lasso_objective(problem, closed)
+    reference = fista(problem, PursuitConfig(3000, tol=1e-300, nonneg=True))
+    assert np.any(reference.code[dense.rows :] > 0)
+
+
+def test_dense_probe_skips_only_fixed_points(rng):
+    taps = np.abs(random_dictionary((20, 2), (3,), 3, dilation=2, padding=SAME, seed=4).taps)
+    bank = dictionary.ConvDictionary(taps, (20, 2), SAME, dilation=2)
+    beta = 0.2
+    # small signals certify, large ones meet kernels whose taps sum past 1
+    # and do not; more than one block of each
+    scales = np.repeat([0.01, 3.0], learning._BLOCK + 5)
+    signals = rng.uniform(0.0, 1.0, (len(scales), bank.rows)) * scales[:, None]
+    signals = signals[rng.permutation(len(signals))]
+    lmax = bank.lmax_bound
+    live = _pursue(bank, signals, beta, 1, True, lmax, beta).any(axis=1)
+    assert 0 < np.count_nonzero(live) < len(signals)
+    got = _probe(bank, signals, beta, 40, True)
+    # one unskipped Huber-FISTA run over the whole batch, identity in closed form
+    conv = _pursue(bank, signals, beta, 40, True, lmax, beta)
+    want = np.hstack([np.maximum(signals - bank.apply(conv) - beta, 0.0), conv])
+    assert not conv[~live].any()  # certified rows stay at zero
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("spec, model", [
+    (dict(dim=16, seed=0), dict(width=3, kernel_size=3, dilations=[1, 2], seed=0)),
+    (dict(dim=24, seed=1), dict(width=4, kernel_size=3, dilations=[3, 1], seed=5)),
+    (dict(dim=20, seed=2, noise_sigma=0.05), dict(width=2, kernel_size=2, dilations=[2, 3], seed=9)),
+])
+@pytest.mark.parametrize("kind", ["mlcsc", "msdcsc"])
+def test_learn_dictionaries_matches_dense_reference(spec, model, kind):
+    dataset = generate_dataset(tiny_spec(**spec))
+    config = tiny_config(outer_iterations=3, probe_size=6, probe_iterations=25,
+                         objective_iterations=60)
+    doc = dict(model, model=kind, input_shape=[spec["dim"], 1], depth=2)
+    want, banks = reference_learn(model_from_config(doc), dataset, config)
+    trained, got = learn_dictionaries(model_from_config(doc), dataset, config)
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        assert (g.iteration, g.unsuccess_count) == (w.iteration, w.unsuccess_count)
+        for name in ("objective", "beta"):
+            assert getattr(g, name) == pytest.approx(getattr(w, name), rel=1e-10)
+    for layer, bank in zip(trained.layers, banks):
+        taps = layer.kernel_bank.taps
+        assert np.max(np.abs(taps - bank.taps)) <= 1e-10 * np.max(np.abs(bank.taps))
 
 
 def test_batched_ista_momentum_improves_objective(rng):

@@ -34,7 +34,7 @@ from cscbench.pursuit import (
     lipschitz_constant,
     proximal_gradient,
 )
-from cscbench_oracles import soft_threshold_nonneg
+from cscbench_oracles import soft_threshold_nonneg, textbook_fista
 from strategies import conv_dictionaries
 
 
@@ -261,19 +261,6 @@ def test_fista_equals_ista_at_one_iteration(rng):
         assert np.array_equal(ista(problem, config).code, fista(problem, config).code)
 
 
-def _textbook_fista(mat, signal, beta, lipschitz, steps):
-    """Beck & Teboulle's FISTA from zero, written out: x_k = prox(y_k - grad / L),
-    t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2, y_{k+1} = x_k + ((t_k - 1) / t_{k+1}) (x_k - x_{k-1})."""
-    x_prev = y = np.zeros(mat.shape[1])
-    t = 1.0
-    for _ in range(steps):
-        x = soft_threshold(y - mat.T @ (mat @ y - signal) / lipschitz, beta / lipschitz)
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        y = x + ((t - 1.0) / t_next) * (x - x_prev)
-        x_prev, t = x, t_next
-    return x
-
-
 @pytest.mark.parametrize("kind", ["dense", "conv"])
 def test_fista_matches_textbook_fista(rng, kind):
     if kind == "dense":
@@ -285,7 +272,7 @@ def test_fista_matches_textbook_fista(rng, kind):
     for steps in (1, 2, 3, 10, 40):
         result = fista(LassoProblem(dictionary, signal, 0.05), PursuitConfig(steps, tol=1e-300))
         assert result.iterations_run == steps
-        want = _textbook_fista(mat, signal, 0.05, result.lipschitz, steps)
+        want = textbook_fista(mat, signal, 0.05, result.lipschitz, steps)
         assert np.max(np.abs(result.code - want)) <= 1e-12
 
 
@@ -352,6 +339,12 @@ def test_proximal_gradient_takes_negative_nonneg_thresholds(rng):
     assert np.allclose(code, np.maximum(0.1 * mat.T @ signal + 0.3, 0.0), atol=1e-15)
     with pytest.raises(InvalidThresholdError):
         next(proximal_gradient(mat, signal, -0.3, 0.1, nonneg=False))
+
+
+def test_huber_runs_hand_out_no_residuals(rng):
+    with pytest.raises(ShapeError, match="Huber"):
+        next(proximal_gradient(np.eye(3), rng.standard_normal(3), 0.1, 0.5, huber=0.2,
+                               residuals=True))
 
 
 def test_proximal_gradient_raises_on_non_finite_iterates(rng):
