@@ -313,14 +313,15 @@ def test_learn_dictionaries_runs_matrix_free(monkeypatch):
         assert len(records) == 2
 
 
-@pytest.mark.parametrize("msd", [False, True])
-def test_probe_objective_at_fig4_defaults(msd):
+def _check_probe_objective(msd, outer_iterations):
     spec = SyntheticDatasetSpec()
     dataset = generate_dataset(spec)
     model = build_fig_models(spec.dim, seed=spec.seed)[msd]
-    config = LearnConfig(outer_iterations=1)
-    _, (record,) = learn_dictionaries(model, dataset, config)
-    # the probe pursues the trained layer 1 on the held-out probe signals
+    config = LearnConfig(outer_iterations=outer_iterations)
+    _, records = learn_dictionaries(model, dataset, config)
+    record = records[-1]
+    # the last probe pursued the trained layer 1 on the held-out probe
+    # signals: each iteration probes after its kernel step
     first = model.layers[0].dictionary(msd)
     problem = LassoProblem(first, dataset.test_signals[: config.probe_size], record.beta)
     lambda_bar = lipschitz_bound(first) / 2.0
@@ -333,6 +334,18 @@ def test_probe_objective_at_fig4_defaults(msd):
     assert record.objective <= objective(400, 2.0 * lambda_bar)
     reference = objective(3000, lambda_bar)
     assert abs(record.objective - reference) <= 1.5e-5 * reference
+
+
+@pytest.mark.parametrize("msd", [False, True])
+def test_probe_objective_at_fig4_defaults(msd):
+    _check_probe_objective(msd, outer_iterations=1)
+
+
+@pytest.mark.parametrize("msd", [False, True])
+def test_probe_objective_at_a_later_fig4_iteration(msd):
+    # over a whole fig4 run the gap is widest at iterations 3 to 5; the
+    # sixth record (iteration 5) probes kernels trained five times
+    _check_probe_objective(msd, outer_iterations=6)
 
 
 def test_learn_dictionaries_rejects_unknown_model():
