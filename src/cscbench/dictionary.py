@@ -29,7 +29,6 @@ Conventions, fixed package-wide:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -412,16 +411,6 @@ def dictionary_from_json(doc):
     if doc.get("family") == "msd":
         return MSDDictionary.from_json_dict(doc)
     return ConvDictionary.from_json_dict(doc)
-
-
-def save_dictionary(dictionary, path):
-    with open(path, "w") as fh:
-        json.dump(dictionary.to_json_dict(), fh, indent=2)
-
-
-def load_dictionary(path):
-    with open(path) as fh:
-        return dictionary_from_json(json.load(fh))
 
 
 # -- dense materialization ---------------------------------------------------

@@ -104,7 +104,7 @@ def test_pursue_writes_trace(tmp_path, capsys):
 
 README_RANDOM = {"input_shape": [100, 1], "kernel_size": 3, "width": 4,
                  "dilation": 1, "padding": "same", "seed": 0}
-# an [I | D] document as save_dictionary writes it: one 2-tap kernel over
+# an [I | D] document as ``to_json_dict`` writes it: one 2-tap kernel over
 # 2 channels on a length-20 grid
 SERIALIZED_MSD = {"family": "msd", "kernels": [[[0.6, 0.0], [0.0, 0.8]]], "dilation": 2,
                   "input_shape": [20, 2], "padding": "same"}
@@ -128,7 +128,7 @@ def test_pursue_readme_example(tmp_path, capsys):
 
 
 def test_pursue_serialized_dictionary_matches_its_random_spec(tmp_path, capsys):
-    # save_dictionary's document of the README bank runs the README problem
+    # the serialized document of the README bank runs the README problem
     # byte for byte; SERIALIZED_MSD, the base of the bad-config cases, runs
     bank = dictionary.random_dictionary((100, 1), (3,), 4, padding="same", seed=0)
     traces = []
