@@ -14,8 +14,9 @@ Conventions, fixed package-wide:
   * stride is 1; padding is "valid" (no padding) or "same" (zero padding,
     output grid equals input grid);
   * an MSD dictionary is [I | D_conv] with "same" padding so the identity
-    block aligns with the signal. Its code is the block concatenation
-    (identity slot | conv slot);
+    block aligns with the signal. Its code, a dense layer's, is the channel
+    stack (*spatial, c + w) of the c identity and w conv channels; its flat
+    operators take the block concatenation (identity slot | conv slot);
   * the operators (``apply``, ``apply_adjoint`` and their array forms, here
     and for dense matrices) return fresh arrays that share no memory with
     their operand or the dictionary; ``pursuit.proximal_gradient`` relies
@@ -32,6 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -153,24 +155,9 @@ class ConvDictionary:
             self.pad_left = (0,) * len(self.spatial_shape)
         self._code_shape = (*self.out_spatial, self.width)
         self._code_grid = (slice(None), *map(slice, self.out_spatial))  # the grid's low corner
-
-    # -- sizes: cached, since a dictionary is immutable ----------------------
-
-    @cached_property
-    def n_positions(self):
-        return math.prod(self.out_spatial)
-
-    @cached_property
-    def rows(self):
-        return math.prod(self.input_shape)
-
-    @cached_property
-    def cols(self):
-        return self.n_positions * self.width
-
-    @cached_property
-    def shape(self):
-        return (self.rows, self.cols)
+        self.n_positions = math.prod(self.out_spatial)
+        self.rows, self.cols = math.prod(input_shape), self.n_positions * self.width
+        self.shape = (self.rows, self.cols)
 
     def kernel_array(self):
         """A writable copy of the taps, shape (width, *k_spatial, c_in)."""
@@ -298,15 +285,21 @@ class ConvDictionary:
             code = code[self._code_grid]
         return code if batched else code[0]
 
-    def apply_array(self, code):
+    def apply_array(self, code, start=None):
         """D applied to a code array (*out, width) -> signal (*spatial, c): per
         tap, one GEMM (B * N, width) @ (width, c) into a contiguous buffer, its
         slabs zeroed, and one contiguous add of its rows [lo, n - end) into the
-        signal rows ``offset`` further on."""
+        signal rows ``offset`` further on. The sum starts from zero, or from a
+        copy of ``start``, B * N * c values in signal order: [I | D] passes its
+        identity channels."""
         cb, batched = _as_batch(code, self._code_shape, "code")
         flat = self._code_rows(cb)
         n = len(flat)
-        signal, contrib = np.zeros((n, self.channels)), np.empty((n, self.channels))
+        if start is None:
+            signal = np.zeros((n, self.channels))
+        else:
+            signal = np.array(start, order="C").reshape(n, self.channels)
+        contrib = np.empty((n, self.channels))
         grid = contrib.reshape(len(cb), *self.input_shape)
         for block, _, offset, lo, end, slabs, inner in self._tap_table:
             np.matmul(flat, block, out=contrib)
@@ -360,7 +353,10 @@ class ConvDictionary:
 
 
 class MSDDictionary:
-    """[I | D_conv]: dense-connection identity block next to a conv block."""
+    """[I | D_conv], the dense connection. Its array operators take channel
+    stacks (*spatial, c + w), c identity then w conv channels per position;
+    the flat ones take (identity slot | conv slot), ``to_matrix``'s column
+    order. Both run the conv operator's arithmetic, bit for bit alike."""
 
     def __init__(self, conv):
         if not isinstance(conv, ConvDictionary):
@@ -371,23 +367,31 @@ class MSDDictionary:
                 "block preserves the signal dimension"
             )
         self.conv = conv
+        self.rows, self.cols = conv.rows, conv.rows + conv.cols
+        self.shape = (self.rows, self.cols)
+        self.stack_shape = (*conv.spatial_shape, conv.channels + conv.width)
 
-    @property
-    def rows(self):
-        return self.conv.rows
+    def apply_array(self, stack):
+        """[I | D] applied to a channel stack (*spatial, c + w) -> signal
+        (*spatial, c): the conv operator on the conv channels, read in place
+        (row-strided), its sum started from the identity channels."""
+        sb, batched = _as_batch(stack, self.stack_shape, "code")
+        c = self.conv.channels
+        signal = self.conv.apply_array(sb[..., c:], sb[..., :c])
+        return signal if batched else signal[0]
 
-    @property
-    def cols(self):
-        return self.conv.rows + self.conv.cols
-
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
+    def adjoint_array(self, x):
+        """[I | D].T applied to a signal (*spatial, c) -> channel stack
+        (*spatial, c + w) of x and D.T x."""
+        xb, batched = _as_batch(x, self.conv.input_shape, "signal")
+        stack = np.concatenate([xb, self.conv.adjoint_array(xb)], axis=-1)
+        return stack if batched else stack[0]
 
     def apply(self, code):
+        """``apply_array``'s sum on the flat slots (identity | conv)."""
         cb, batched = _as_batch(code, (self.cols,), "code")
-        signal = self.conv.apply(cb[:, self.rows :])
-        signal += np.ascontiguousarray(cb[:, : self.rows])  # a strided add is slow
+        conv_code = cb[:, self.rows :].reshape(len(cb), *self.conv._code_shape)
+        signal = self.conv.apply_array(conv_code, cb[:, : self.rows]).reshape(len(cb), self.rows)
         return signal if batched else signal[0]
 
     def apply_adjoint(self, signal):
@@ -467,6 +471,13 @@ def to_matrix(dictionary):
     for t, entries in _tap_entries(conv):
         block[entries] = conv.taps[(slice(None), *t)].T  # (c, width) at every position
     return mat
+
+
+def array_operator(dictionary):
+    """A conv or [I | D] dictionary's array operators as ``apply`` and
+    ``apply_adjoint``, for ``pursuit.proximal_gradient`` to run on code
+    arrays (a dense layer's channel stacks) in place of flat codes."""
+    return SimpleNamespace(apply=dictionary.apply_array, apply_adjoint=dictionary.adjoint_array)
 
 
 def apply(dictionary, code):

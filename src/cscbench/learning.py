@@ -1,28 +1,31 @@
 """Alternating dictionary learning and the synthetic experiments.
 
-Training works on 1D signals, batch first: a mini-batch is (B, rows). Every
-pursuit is :func:`cscbench.pursuit.proximal_gradient` on the matrix-free
-dictionaries over the whole batch, and the kernel gradient is a correlation
-of residual windows with the codes (``ConvDictionary.tap_correlation``), so
-no dictionary is materialized; the per-sample solvers in
-:mod:`cscbench.pursuit` stay the reference implementation. Training pursuits
-step by the paper's 1/(2 lambda_bar) = 1/``lipschitz_bound``; the logging probe,
-no model layer, runs FISTA on each conv bank D alone at 1/lambda_bar, as
-lambda_bar = ``lmax_bound`` >= lambda_max(D.T D). On a dense layer it pursues
-the Huber loss that the [I | D] Lasso leaves once its identity slot is solved
-in closed form, and fills that slot afterwards (``_probe``).
+Training works on 1D signals, batch first: a mini-batch is (B, *input), and
+each layer's code array, a dense layer's channel stack, is the next layer's
+input. Every pursuit is :func:`cscbench.pursuit.proximal_gradient` on the
+dictionaries' array operators over the whole batch, and the kernel gradient
+is a correlation of residual windows with the codes
+(``ConvDictionary.tap_correlation``), so no dictionary is materialized; the
+per-sample solvers in :mod:`cscbench.pursuit` stay the reference
+implementation. Training pursuits step by the paper's 1/(2 lambda_bar) =
+1/``lipschitz_bound``; the logging probe, no model layer, runs FISTA on each
+conv bank D alone at 1/lambda_bar, as lambda_bar = ``lmax_bound`` >=
+lambda_max(D.T D). On a dense layer it pursues the Huber loss that the
+[I | D] Lasso leaves once its identity channels are solved in closed form,
+and fills them afterwards (``_probe``).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import SyntheticDatasetSpec, classify, generate_dataset
-from .dictionary import ConvDictionary, apply, kernel_norms
+from .dictionary import ConvDictionary, array_operator, kernel_norms
 from .errors import DivergenceError, ShapeError
 from .models import (
     LayerParams,
@@ -30,16 +33,13 @@ from .models import (
     MSDCSCModel,
     _layer_step,
     _momentum,
-    code_to_stack,
     model_from_config,
     msdcsc_layer_forward,
-    stack_to_code,
 )
 from .pursuit import (
-    LassoProblem,
     PursuitConfig,
+    _objective,
     last_iterate,
-    lasso_objective,
     lipschitz_bound,
     proximal_gradient,
 )
@@ -133,10 +133,10 @@ def _in_blocks(fn, *batches):
 
 
 def _pursue(dictionary, signals, beta, iterations, momentum, lipschitz=None, huber=None):
-    """Nonnegative ISTA (FISTA with ``momentum``) from zero over a batch
-    of flat signals (B, rows), stepping by 1 / ``lipschitz``, by default the
-    layers' certified ``lipschitz_bound``; run in blocks of ``_BLOCK``.
-    ``huber`` is ``proximal_gradient``'s Huber loss."""
+    """Nonnegative ISTA (FISTA with ``momentum``) from zero over a batch of
+    signals (B, rows), or (B, *input) for an ``array_operator``, stepping by
+    1 / ``lipschitz``, by default the layers' certified ``lipschitz_bound``;
+    run in blocks of ``_BLOCK``. ``huber`` is ``proximal_gradient``'s Huber loss."""
     if lipschitz is None:
         lipschitz = lipschitz_bound(dictionary)
 
@@ -151,8 +151,9 @@ def _pursue(dictionary, signals, beta, iterations, momentum, lipschitz=None, hub
 
 
 def _probe(bank, signals, beta, iterations, msd):
-    """The logging probe's codes for a batch (B, rows): nonnegative FISTA
-    from zero at 1/lambda_bar, lambda_bar = ``bank.lmax_bound``.
+    """The logging probe's codes, a dense layer's channel stacks, for a batch
+    (B, *input): nonnegative FISTA from zero at 1/lambda_bar, lambda_bar =
+    ``bank.lmax_bound``.
 
     A dense layer's [I | D] Lasso is pursued on D alone: the best identity
     code for a conv code z is u = max(x - D z - beta, 0), which leaves
@@ -162,27 +163,26 @@ def _probe(bank, signals, beta, iterations, msd):
     only the others run on. The test is that first step itself, so a skipped
     signal keeps the bits its own run would have given it.
     """
-    lmax = bank.lmax_bound
+    lmax, operator = bank.lmax_bound, array_operator(bank)
     if not msd:
-        return _pursue(bank, signals, beta, iterations, True, lmax)
-    codes = np.zeros((len(signals), bank.cols))
-    live = np.flatnonzero(_pursue(bank, signals, beta, 1, True, lmax, beta).any(axis=1))
-    codes[live] = _pursue(bank, signals[live], beta, iterations, True, lmax, beta)
-    identity = np.maximum(signals - bank.apply(codes) - beta, 0.0)
-    return np.hstack([identity, codes])
+        return _pursue(operator, signals, beta, iterations, True, lmax)
+    codes = np.zeros((len(signals), *bank.out_spatial, bank.width))
+    first = _pursue(operator, signals, beta, 1, True, lmax, beta)
+    live = np.flatnonzero(first.reshape(len(signals), bank.cols).any(axis=1))
+    codes[live] = _pursue(operator, signals[live], beta, iterations, True, lmax, beta)
+    identity = np.maximum(signals - bank.apply_array(codes) - beta, 0.0)
+    return np.concatenate([identity, codes], axis=-1)
 
 
-def _next_input(codes, layer, msd):
-    """Batch codes (B, cols) as the next layer's flat signals (B, rows')."""
-    if not msd:
-        return codes  # position-major already
-    return code_to_stack(codes, layer.kernel_bank).reshape(len(codes), -1)
+def _objectives(beta, residual, code):
+    """Per-sample Lasso objectives of batched arrays from their residuals D code - x."""
+    return _objective(beta, *(a.reshape(len(a), math.prod(a.shape[1:])) for a in (residual, code)))
 
 
 def _fraction_beta(bank, signals, rho):
-    """rho * max |F^T X| over a batch (B, rows), on the conv bank alone so
-    that a dense layer and its plain twin get matching betas."""
-    return float(rho * np.max(np.abs(bank.apply_adjoint(signals))))
+    """rho * max |F^T X| over a batch (B, rows) or (B, *input), on the conv
+    bank alone so that a dense layer and its plain twin get matching betas."""
+    return float(rho * np.max(np.abs(bank.apply_adjoint(signals.reshape(len(signals), -1)))))
 
 
 def _update_kernels(bank, grads, step):
@@ -208,30 +208,32 @@ def learn_dictionaries(model, dataset, config):
     if not isinstance(model, (MLCSCModel, MSDCSCModel)):
         raise ShapeError("learning supports plain and dense models")
     rng = np.random.default_rng(config.seed)
-    train = np.asarray(dataset.train_signals, dtype=float)
-    # (P, dim), held out from training
-    probe = np.asarray(dataset.test_signals[: config.probe_size], dtype=float)
-    n_layers = len(model.layers)
-    betas = [None] * n_layers  # fixed at the first batch
+    shape = model.layers[0].kernel_bank.input_shape
+    train = np.asarray(dataset.train_signals, dtype=float).reshape(-1, *shape)
+    # (P, *input), held out from training
+    probe = np.asarray(dataset.test_signals[: config.probe_size], dtype=float).reshape(-1, *shape)
+    betas = [None] * len(model.layers)  # fixed at the first batch
     records = []
     for iteration in range(config.outer_iterations):
         start = time.perf_counter()
         batch_idx = rng.choice(train.shape[0], size=min(config.batch_size, train.shape[0]), replace=False)
-        signals = train[batch_idx]  # (B, dim)
+        signals = train[batch_idx]  # (B, *input)
         for i, layer in enumerate(model.layers):
             dictionary = layer.dictionary(msd)
             bank = layer.kernel_bank
             if betas[i] is None:
                 betas[i] = _fraction_beta(bank, signals, config.beta_value)
             codes = _pursue(
-                dictionary, signals, betas[i], config.pursuit_config.iterations, False
+                array_operator(dictionary), signals, betas[i],
+                config.pursuit_config.iterations, False, lipschitz_bound(dictionary),
             )
             if config.dict_step > 0:
-                # d/dF of the mean 0.5||X - D G||^2; an MSD identity block has no taps
-                residual = signals - apply(dictionary, codes)
-                grads = -bank.tap_correlation(residual, codes[:, -bank.cols :]) / len(codes)
+                # d/dF of the mean 0.5||X - D G||^2; a stack's identity channels have no taps
+                residual = (signals - dictionary.apply_array(codes)).reshape(len(codes), -1)
+                conv_codes = codes[..., -bank.width :].reshape(len(codes), -1)
+                grads = -bank.tap_correlation(residual, conv_codes) / len(codes)
                 layer.kernel_bank = _update_kernels(bank, grads, config.dict_step)
-            signals = _next_input(codes, layer, msd)
+            signals = codes
 
         # probe: pursue the whole chain on held-out signals, reconstruct
         # back down through every layer, and count the signal dimensions
@@ -241,20 +243,15 @@ def learn_dictionaries(model, dataset, config):
         x = probe
         for i, layer in enumerate(model.layers):
             iterations = config.probe_iterations if i else config.objective_iterations
-            codes = _probe(layer.kernel_bank, x, betas[i], iterations, msd)
-            probe_codes.append(codes)
-            x = _next_input(codes, layer, msd)
+            x = _probe(layer.kernel_bank, x, betas[i], iterations, msd)
+            probe_codes.append(x)
         recon = probe_codes[-1]
-        for i in range(n_layers - 1, -1, -1):
-            recon = apply(dictionaries[i], recon)
-            if msd and i > 0:  # a dense layer's input stacks the last one's code
-                stacks = recon.reshape(-1, *model.layers[i].kernel_bank.input_shape)
-                recon = stack_to_code(stacks, model.layers[i - 1].kernel_bank)
-        unsuccess = float(
-            np.mean(np.sum(np.abs(recon - probe) > 2.0 * betas[0], axis=1))
-        )
-        first = LassoProblem(dictionaries[0], probe, betas[0])
-        objective = float(np.mean(lasso_objective(first, probe_codes[0])))
+        for dictionary in reversed(dictionaries):  # a layer's input is the last one's code
+            recon = dictionary.apply_array(recon)
+        misses = np.abs(recon - probe) > 2.0 * betas[0]
+        unsuccess = float(np.mean(np.sum(misses.reshape(len(probe), -1), axis=1)))
+        residual = dictionaries[0].apply_array(probe_codes[0]) - probe
+        objective = float(np.mean(_objectives(betas[0], residual, probe_codes[0])))
         records.append(
             TrainingRecord(
                 iteration=iteration,
@@ -357,7 +354,7 @@ def build_pursuit_model(dim, width=8, depth=2, kernel_size=3, seed=0, beta=0.1, 
                                "width": width, "kernel_size": kernel_size, "seed": seed})
     x = np.asarray(calibration, dtype=float)[..., None]
     for i, layer in enumerate(model.layers):
-        layer_beta = _fraction_beta(layer.kernel_bank, x.reshape(len(x), -1), beta)
+        layer_beta = _fraction_beta(layer.kernel_bank, x, beta)
         layer = model.layers[i] = LayerParams.pursuit_mode(layer.kernel_bank, layer_beta, msd=True)
         if i + 1 < depth:  # the last output feeds nothing
             (x,) = _in_blocks(lambda block: (msdcsc_layer_forward(layer, block, 0, "ista"),), x)
@@ -372,8 +369,10 @@ def unfold_objectives(model, signals, unfoldings, solver):
     1's input is the signal, layer i + 1's the single-step output of layer i
     on its own. The codes come from the genuine chained forward pass. One
     run from zero per layer on its reference input passes every depth and
-    gives every objective, the next reference input (its first step) and
-    every chained output on that same input: layer 1's, and unfolding 0's.
+    gives every objective, from the residual the step after each depth
+    forms (one apply for the deepest), the next reference input (its first
+    step) and every chained output on that same input: layer 1's, and
+    unfolding 0's.
 
     Returns {unfolding: (objectives (n_samples, depth), codes (n_samples, F))}.
     """
@@ -384,17 +383,16 @@ def unfold_objectives(model, signals, unfoldings, solver):
     def block(x):
         ref, chained, objectives = x, [x] * len(depths), []
         for i, layer in enumerate(model.layers):
-            first, *codes = _layer_step(layer, ref, True, steps, momentum, flat=True)
+            (first, _), *codes = _layer_step(layer, ref, True, steps, momentum, residuals=True)
             beta = -layer.bias[0] * layer.lipschitz(msd=True)
-            problem = LassoProblem(layer.dictionary(msd=True), ref.reshape(len(ref), -1), beta)
-            objectives.append([lasso_objective(problem, code) for code in codes])
+            objectives.append([_objectives(beta, residual, code) for code, residual in codes])
             # the chained input is the reference input on layer 1 and at unfolding 0
             chained = [
-                code_to_stack(code, layer.kernel_bank) if i == 0 or u == 0
+                code if i == 0 or u == 0
                 else _layer_step(layer, inputs, True, (1 + u,), momentum)[0]
-                for u, code, inputs in zip(depths, codes, chained)
+                for u, (code, _), inputs in zip(depths, codes, chained)
             ]
-            ref = code_to_stack(first, layer.kernel_bank)
+            ref = first
         return (
             *(np.stack(per_layer, axis=1) for per_layer in zip(*objectives)),
             *(codes.reshape(len(codes), -1) for codes in chained),

@@ -6,8 +6,9 @@ layer with bias -t. Pursuit-mode constructors derive bias = -beta / L so
 the two conventions never conflict.
 
 Signals and codes flow through the models as arrays of shape
-(*spatial, channels); the flat, position-major form used by the
-dictionaries is produced only at the dictionary boundary.
+(*spatial, channels), and the layers pursue on them. A dense layer's code
+is its channel stack (*spatial, c + w), its input's c channels and its w
+conv channels, which is the next layer's input as it stands.
 """
 
 from __future__ import annotations
@@ -21,39 +22,14 @@ from .dictionary import (
     SAME,
     ConvDictionary,
     MSDDictionary,
+    apply,
+    array_operator,
     random_dictionary,
 )
 from .errors import ShapeError
 
 SOFT = "soft"
 NONNEG = "nonneg"
-
-
-def stack_to_code(stack, conv):
-    """Channel-stacked array (..., *spatial, c + w) -> flat MSD code
-    (..., I-block | conv-block) of the dense layer over ``conv``.
-
-    The one owner of this layout: an optional leading batch axis is kept.
-    """
-    stack = np.asarray(stack, dtype=float)
-    lead = stack.shape[: stack.ndim - len(conv.input_shape)]
-    c_in = conv.channels
-    return np.concatenate(
-        [
-            stack[..., :c_in].reshape(*lead, -1),
-            stack[..., c_in:].reshape(*lead, -1),
-        ],
-        axis=-1,
-    )
-
-
-def code_to_stack(code, conv):
-    """Inverse of :func:`stack_to_code`."""
-    code = np.asarray(code, dtype=float)
-    lead = code.shape[:-1]
-    identity_part = code[..., : conv.rows].reshape(*lead, *conv.input_shape)
-    conv_part = code[..., conv.rows :].reshape(*lead, *conv.out_spatial, conv.width)
-    return np.concatenate([identity_part, conv_part], axis=-1)
 
 
 @dataclass
@@ -104,40 +80,44 @@ class LayerParams:
 
 
 def _layer_step(
-    layer, x, msd=False, steps=(1,), momentum=False, nonneg=True, init=None, flat=False
+    layer, x, msd=False, steps=(1,), momentum=False, nonneg=True, init=None, residuals=False
 ):
     """Every forward layer: one run of proximal-gradient steps on the signal
-    ``x`` over ``layer.dictionary(msd)`` at step c = ``effective_scale``,
-    with thresholds -bias per kernel (-passthrough_bias on a dense layer's
-    identity channels), from the code array ``init`` or from zero, read off
-    after each of the step counts ``steps`` (see ``pursuit.iterates_at``).
+    ``x`` over ``layer.dictionary(msd)``'s array operators at step c =
+    ``effective_scale``, with thresholds -bias per kernel (-passthrough_bias
+    on a dense layer's identity channels), from the code array ``init`` or
+    from zero, read off after each of the step counts ``steps``.
 
     ``x`` is (*spatial, c); only a dense layer also takes a batch
     (B, *spatial, c). Returns one code per step count: (*out, width), or for
-    a dense layer the stacked (..., *spatial, c + w); with ``flat``, the
-    dictionary's flat code (..., cols).
+    a dense layer its channel stack (..., *spatial, c + w); with
+    ``residuals``, each paired with its residual D code - x.
     """
     x = np.asarray(x, dtype=float)
     conv = layer.kernel_bank
-    lead = x.shape[: x.ndim - len(conv.input_shape)]
-    if x.shape[len(lead) :] != conv.input_shape or len(lead) > msd:
+    lead = x.ndim - len(conv.input_shape)
+    if x.shape[lead:] != conv.input_shape or not 0 <= lead <= msd:
         raise ShapeError(
             f"layer input of shape {x.shape} does not match dictionary input "
             f"{conv.input_shape}"
         )
-    threshold = np.tile(-layer.bias, conv.n_positions)
-    if msd:
-        threshold = np.concatenate([np.full(conv.rows, -layer.passthrough_bias), threshold])
+    threshold = -layer.bias
+    if msd:  # one threshold per channel of the stack, the same at every position
+        threshold = np.concatenate([np.full(conv.channels, -layer.passthrough_bias), threshold])
+    if np.all(threshold == threshold[0]):  # as in pursuit mode: a scalar broadcasts fastest
+        threshold = threshold[0]
+    operator = array_operator(layer.dictionary(msd))
     iterates = pursuit.proximal_gradient(
-        layer.dictionary(msd), x.reshape(*lead, conv.rows), threshold,
-        layer.effective_scale(msd), momentum, nonneg,
-        None if init is None else np.reshape(init, conv.cols),
+        operator, x, threshold, layer.effective_scale(msd), momentum, nonneg, init, residuals
     )
-    return [
-        code if flat else code_to_stack(code, conv) if msd
-        else code.reshape(*conv.out_spatial, conv.width)
-        for code in pursuit.iterates_at(iterates, steps)
-    ]
+    if not residuals:
+        return pursuit.iterates_at(iterates, steps)
+    # step n + 1 hands out the residual at code n; only the deepest code's takes an apply
+    last = max(steps)
+    wanted = sorted({*steps, *(n + 1 for n in steps if n < last)})
+    at = dict(zip(wanted, pursuit.iterates_at(iterates, wanted)))
+    deepest = apply(operator, at[last][0]) - x
+    return [(at[n][0], at[n + 1][1] if n < last else deepest) for n in steps]
 
 
 def _nonneg(operator):

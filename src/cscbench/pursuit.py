@@ -25,7 +25,7 @@ every objective-trace entry from it, so n steps from zero apply D n times,
 once for each step after the first and once for the last code's objective.
 ISTA's entries are the bits of ``lasso_objective``; FISTA's residual is
 recovered from its momentum point and its entries agree to rounding. The
-layer steps ask for no residuals and pay nothing for them.
+layer steps ask for none, but where the unfolding sweep reads objectives.
 """
 
 from __future__ import annotations
@@ -138,13 +138,13 @@ def lasso_objective(problem, code):
             f"code of shape {code.shape} does not match dictionary columns "
             f"{problem.code_length}"
         )
-    objective = _objective(problem, dct.apply(problem.dictionary, code) - problem.signal, code)
+    objective = _objective(problem.beta, dct.apply(problem.dictionary, code) - problem.signal, code)
     return float(objective) if code.ndim == 1 else objective
 
 
-def _objective(problem, residual, code):
+def _objective(beta, residual, code):
     """0.5||r||^2 + sum beta_j |code_j| from the residual r = D code - X."""
-    penalty = (problem.beta * np.abs(code)).sum(axis=-1)
+    penalty = (beta * np.abs(code)).sum(axis=-1)
     return 0.5 * np.vecdot(residual, residual) + penalty
 
 
@@ -278,7 +278,7 @@ def _solve(problem, config, init, momentum):
     trace, deltas = [], []
     code = start
     for new, residual in itertools.islice(iterates, config.iterations):
-        trace.append(float(_objective(problem, residual, code)))
+        trace.append(float(_objective(problem.beta, residual, code)))
         deltas.append(float(np.abs(new - code).max()) if new.size else 0.0)
         code = new
         if deltas[-1] < config.tol:

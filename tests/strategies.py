@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from cscbench.dictionary import SAME, VALID, random_dictionary
+from cscbench.dictionary import SAME, VALID, MSDDictionary, random_dictionary
 
 
 @st.composite
@@ -26,3 +26,19 @@ def conv_dictionaries(draw):
         padding=padding,
         seed=draw(st.integers(0, 2**31 - 1)),
     )
+
+
+@st.composite
+def dense_dictionaries(draw):
+    """[I | D] over same-padded 1-D/2-D banks: 1-17 channels, width 1-4,
+    kernel 2-4, dilation 1-3, so that some banks have no tap of offset 0."""
+    rank = draw(st.integers(1, 2))
+    spatial = tuple(draw(st.integers(1, 9 if rank == 1 else 5)) for _ in range(rank))
+    return MSDDictionary(random_dictionary(
+        spatial + (draw(st.integers(1, 17)),),
+        tuple(draw(st.integers(2, 4)) for _ in range(rank)),
+        draw(st.integers(1, 4)),
+        dilation=draw(st.integers(1, 3)),
+        padding=SAME,
+        seed=draw(st.integers(0, 2**31 - 1)),
+    ))

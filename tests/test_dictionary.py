@@ -30,8 +30,8 @@ from cscbench.errors import (
     MaterializationError,
     ShapeError,
 )
-from cscbench_oracles import strided_adjoint_array, strided_apply_array
-from strategies import conv_dictionaries
+from cscbench_oracles import _stack, strided_adjoint_array, strided_apply_array
+from strategies import conv_dictionaries, dense_dictionaries
 
 
 def naive_matrix(kernels, input_shape, dilation, padding):
@@ -279,10 +279,9 @@ def test_outputs_are_fresh_and_leave_the_operand_alone(rng, channels, lead, lift
     # twice, or an output aliasing its operand or the taps, would corrupt it
     conv = random_dictionary((30, channels), (3,), 4, dilation=2, padding=SAME, seed=0)
     op = MSDDictionary(conv) if lift else conv
-    calls = [(op.apply, (op.cols,)), (op.apply_adjoint, (op.rows,))]
-    if not lift:
-        calls += [(conv.apply_array, (*conv.out_spatial, conv.width)),
-                  (conv.adjoint_array, conv.input_shape)]
+    calls = [(op.apply, (op.cols,)), (op.apply_adjoint, (op.rows,)),
+             (op.adjoint_array, conv.input_shape)]
+    calls.append((op.apply_array, op.stack_shape if lift else (*conv.out_spatial, conv.width)))
     for fn, shape in calls:
         operand = rng.standard_normal(lead + shape)
         before = operand.copy()
@@ -312,6 +311,64 @@ def test_msd_apply_and_adjoint_match_dense(rng):
     signal = rng.standard_normal(msd.rows)
     assert np.allclose(apply(msd, code), dense @ code, atol=1e-13)
     assert np.allclose(apply_adjoint(msd, signal), dense.T @ signal, atol=1e-13)
+
+
+def _stack_order(dense):
+    """Per entry of [I | D]'s flattened channel stack, its column in ``to_matrix``."""
+    flat = np.arange(dense.cols, dtype=float)[None]
+    return _stack(flat, dense.conv)[0].astype(int)
+
+
+def _check_stack_operators(dense, stacks, x):
+    """The stack operators on batches against ``to_matrix`` with its columns
+    in stack order, to 1e-12 of the operand's scale times D's largest row or
+    column sum; the adjoint's identity channels are x itself."""
+    batch, conv = len(x), dense.conv
+    mat = to_matrix(dense)[:, _stack_order(dense)]
+    for fn, arg, want, gain in (
+        (dense.apply_array, stacks, stacks.reshape(batch, -1) @ mat.T,
+         np.abs(mat).sum(axis=1).max()),
+        (dense.adjoint_array, x, x.reshape(batch, -1) @ mat, np.abs(mat).sum(axis=0).max()),
+    ):
+        got = fn(arg)
+        assert got.shape == (batch, *(conv.input_shape if fn == dense.apply_array
+                                      else dense.stack_shape))
+        scale = np.max(np.abs(arg), initial=0.0) * gain
+        assert np.max(np.abs(got.reshape(batch, -1) - want), initial=0.0) <= 1e-12 * scale
+        if batch == 1:  # an unbatched call is the batch of one
+            assert np.array_equal(fn(arg[0]), got[0])
+    assert np.array_equal(dense.adjoint_array(x)[..., : conv.channels], x)
+
+
+@given(dense_dictionaries(), st.sampled_from([1, 3]), st.integers(0, 2**31 - 1))
+def test_stack_operators_are_the_dense_matrix_in_stack_order(dense, batch, seed):
+    rng = np.random.default_rng(seed)
+    stacks = rng.standard_normal((batch, *dense.stack_shape))
+    x = rng.standard_normal((batch, *dense.conv.input_shape))
+    _check_stack_operators(dense, stacks, x)
+    # the flat face is to_matrix itself, in its (identity | conv) order
+    mat = to_matrix(dense)
+    codes, signals = rng.standard_normal((batch, dense.cols)), x.reshape(batch, -1)
+    assert np.allclose(dense.apply(codes), codes @ mat.T, rtol=0.0, atol=1e-12)
+    assert np.allclose(dense.apply_adjoint(signals), signals @ mat, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "input_shape, kernel, dilation, batch",
+    [
+        ((100, 1), 3, 1, 25),  # fig4 layer 1
+        ((100, 17), 3, 2, 25),  # fig4 layer 2
+        ((100, 17), 3, 2, 1),  # lasso_solve, the layer-2 problem
+        ((50, 9), 3, 2, 25),  # unfold-sweep layer 2
+        ((40, 3), 2, 2, 5),  # no tap of offset 0
+        ((40, 1), 4, 3, 5),  # no tap of offset 0, one channel
+    ],
+)
+def test_stack_operators_at_workload_shapes(rng, input_shape, kernel, dilation, batch):
+    conv = random_dictionary(input_shape, (kernel,), 16, dilation=dilation, padding=SAME, seed=0)
+    dense = MSDDictionary(conv)
+    _check_stack_operators(dense, rng.standard_normal((batch, *dense.stack_shape)),
+                           rng.standard_normal((batch, *input_shape)))
 
 
 def test_msd_requires_same_padding():

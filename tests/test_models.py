@@ -20,15 +20,14 @@ from cscbench.models import (
     MSDCSCModel,
     ResCSCModel,
     _layer_step,
-    code_to_stack,
     mlcsc_forward,
     model_from_config,
     msdcsc_forward,
     msdcsc_layer_forward,
     rescsc_forward,
-    stack_to_code,
 )
 from cscbench.pursuit import LassoProblem, PursuitConfig, fista, ista
+from cscbench_oracles import _stack, _unstack
 
 
 def naive_conv_relu_layer(x, kernels, dilation, scale, bias):
@@ -241,7 +240,7 @@ def test_msd_layer_equals_generic_solver(rng, solver, unfolding):
     layer = pursuit_layer(9, 2, 3, seed=11, beta=0.2, dilation=2)
     x = rng.standard_normal((9, 2))
     out = msdcsc_layer_forward(layer, x, unfolding, solver)
-    code = stack_to_code(out, layer.kernel_bank)
+    code = _unstack(out.reshape(1, -1), layer.kernel_bank)[0]
 
     problem = LassoProblem(MSDDictionary(layer.kernel_bank), x.ravel(), 0.2)
     config = PursuitConfig(iterations=1 + unfolding, nonneg=True, tol=1e-300)
@@ -298,13 +297,21 @@ def test_layer_step_reads_every_depth_of_one_run(rng, monkeypatch, solver, batch
 
 
 def test_stack_code_layout_takes_a_batch_axis(rng):
+    # [I | D]'s flat face is its stack face on the oracles' (identity | conv)
+    # layout of the codes, batched and per sample
     conv = random_dictionary((6, 2), (3,), 3, padding=SAME, seed=1)
+    dense = MSDDictionary(conv)
     stacks = rng.standard_normal((4, 6, 5))
-    codes = stack_to_code(stacks, conv)
-    assert codes.shape == (4, MSDDictionary(conv).cols)
+    codes = _unstack(stacks.reshape(4, -1), conv)
+    assert codes.shape == (4, dense.cols)
+    assert np.array_equal(dense.apply(codes), dense.apply_array(stacks).reshape(4, -1))
+    x = rng.standard_normal((4, 6, 2))
+    flat = dense.apply_adjoint(x.reshape(4, -1))
+    assert np.array_equal(_stack(flat, conv), dense.adjoint_array(x).reshape(4, -1))
     for b in range(4):
-        assert np.array_equal(codes[b], stack_to_code(stacks[b], conv))
-    assert np.array_equal(code_to_stack(codes, conv), stacks)
+        assert np.array_equal(dense.apply(codes[b]), dense.apply_array(stacks[b]).ravel())
+        stack = dense.adjoint_array(x[b])
+        assert np.array_equal(dense.apply_adjoint(x[b].ravel()), _unstack(stack[None], conv)[0])
 
 
 def test_msdcsc_forward_channel_growth(rng):
@@ -335,11 +342,18 @@ def test_msdcsc_model_validation():
 
 
 def test_stack_code_round_trip(rng):
+    # a stack through the flat face and back: the flat apply of its flat code
+    # is its stack apply, and the flat adjoint's code stacks to the stack
+    # adjoint's output
     conv = random_dictionary((7, 2), (3,), 3, padding=SAME, seed=0)
+    dense = MSDDictionary(conv)
     stack = rng.standard_normal((7, 5))
-    code = stack_to_code(stack, conv)
-    back = code_to_stack(code, conv)
-    assert np.array_equal(back, stack)
+    code = _unstack(stack.reshape(1, -1), conv)
+    assert np.array_equal(_stack(code, conv).reshape(stack.shape), stack)
+    assert np.array_equal(dense.apply(code[0]), dense.apply_array(stack).ravel())
+    x = rng.standard_normal(7 * 2)
+    back = _stack(dense.apply_adjoint(x)[None], conv).reshape(7, 5)
+    assert np.array_equal(back, dense.adjoint_array(x.reshape(7, 2)))
 
 
 def test_layer_params_validation():
