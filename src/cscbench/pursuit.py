@@ -25,7 +25,7 @@ every objective-trace entry from it, so n steps from zero apply D n times,
 once for each step after the first and once for the last code's objective.
 ISTA's entries are the bits of ``lasso_objective``; FISTA's residual is
 recovered from its momentum point and its entries agree to rounding. The
-layer steps ask for none, but where the unfolding sweep reads objectives.
+layer steps ask for them only where the unfolding sweep reads objectives.
 """
 
 from __future__ import annotations

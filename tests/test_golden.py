@@ -40,7 +40,7 @@ def host_facts():
         for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
             getter = getattr(ctypes.CDLL(path), name, None)
             if getter is not None:
-                getter.restype = ctypes.c_char_p
+                getter.argtypes, getter.restype = [], ctypes.c_char_p
                 core = getter().decode()
     cpu = "unknown"
     if os.path.exists("/proc/cpuinfo"):

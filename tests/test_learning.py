@@ -41,7 +41,7 @@ from cscbench.pursuit import (
     lipschitz_bound,
     proximal_gradient,
 )
-from cscbench_oracles import _stack, _unstack, reference_learn
+from cscbench_oracles import _unstack, reference_learn
 
 
 def tiny_spec(**overrides):
