@@ -45,18 +45,20 @@ def generate_dataset(spec):
     centers = rng.uniform(
         -spec.center_scale, spec.center_scale, size=(spec.n_classes, spec.dim)
     )
-    train_labels = np.repeat(np.arange(spec.n_classes), spec.train_per_class)
-    train_signals = centers[train_labels] + spec.noise_sigma * rng.standard_normal(
-        (train_labels.size, spec.dim)
-    )
     per_class = spec.test_total // spec.n_classes
     remainder = spec.test_total - per_class * spec.n_classes
-    counts = np.full(spec.n_classes, per_class)
-    counts[:remainder] += 1
-    test_labels = np.repeat(np.arange(spec.n_classes), counts)
-    test_signals = centers[test_labels] + spec.noise_sigma * rng.standard_normal(
-        (test_labels.size, spec.dim)
-    )
+    test_counts = np.full(spec.n_classes, per_class)
+    test_counts[:remainder] += 1
+    splits = []
+    for counts in (np.full(spec.n_classes, spec.train_per_class), test_counts):
+        # centers[labels] + sigma * noise, the same bits formed in the noise
+        # array: scaled in place, then each class's rows offset by its center
+        samples = rng.standard_normal((counts.sum(), spec.dim))
+        samples *= spec.noise_sigma
+        for center, rows in zip(centers, np.split(samples, np.cumsum(counts)[:-1])):
+            rows += center
+        splits.append((np.repeat(np.arange(spec.n_classes), counts), samples))
+    (train_labels, train_signals), (test_labels, test_signals) = splits
     return SyntheticDataset(
         centers=centers,
         train_signals=train_signals,

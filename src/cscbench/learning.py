@@ -3,9 +3,10 @@
 Training works on 1D signals, batch first: a mini-batch is (B, *input), and
 each layer's code array, a dense layer's channel stack, is the next layer's
 input. Every pursuit is :func:`cscbench.pursuit.proximal_gradient` on the
-dictionaries' array operators over the whole batch, and the kernel gradient
-is a correlation of residual windows with the codes
-(``ConvDictionary.tap_correlation``), so no dictionary is materialized; the
+dictionaries' array operators, one block of the batch at a time, and each
+training block adds its correlation of residual windows with its codes
+(``ConvDictionary.tap_correlation``) to the kernel gradient, so no
+dictionary is materialized and the last layer keeps no codes; the
 per-sample solvers in :mod:`cscbench.pursuit` stay the reference
 implementation. Training pursuits step by the paper's 1/(2 lambda_bar) =
 1/``lipschitz_bound``; the logging probe, no model layer, runs FISTA on each
@@ -75,8 +76,8 @@ class LearnConfig:
             raise ShapeError("probe and objective iterations must be >= 1")
         if min(self.batch_size, self.probe_size) < 1:
             raise ShapeError("batch and probe sizes must be >= 1")
-        if self.dict_step < 0:
-            raise ShapeError("dict_step must be nonnegative")
+        if not 0 <= self.dict_step < math.inf:  # written so that NaN fails it
+            raise ShapeError("dict_step must be finite and nonnegative")
         if self.beta_schedule != INIT_FRACTION:
             raise ShapeError(f"unknown beta schedule {self.beta_schedule!r}")
         if not 0.0 < self.beta_value < 1.0:
@@ -106,13 +107,14 @@ class ExperimentRecord:
     wall_ms: float
 
 
-# Pursuits and layer forwards run over their samples in blocks of this
-# many, for two reasons. Peak RSS: a block's temporaries grow with it; over
-# one sample at a time, the unfold sweep's whole set at once raised its peak
-# RSS by 23%, blocks of 50 by 10%, blocks of 25 by 4%. Cache: a block's
-# pursuit state (codes, momentum point, gradient, windows) stays within a
-# core's L2 cache for every step, where a batch of 64-128 signals does not.
-# Rows are independent, so blocking changes no result beyond GEMM rounding.
+# Pursuits, training's kernel gradients and layer forwards run over their
+# samples in blocks of this many. Peak RSS: a block's temporaries grow with
+# it; over one sample at a time, the unfold sweep's whole set at once raised
+# its peak RSS by 23%, blocks of 25 by 4%, and a fig4 training iteration
+# traces 5.1 MB in blocks, 13.7 MB unblocked. Cache: a block's pursuit state
+# (codes, momentum point, gradient, windows) stays within a core's L2 cache
+# for every step, where a batch of 64-128 signals does not. Rows are
+# independent, so blocking changes no result beyond rounding.
 _BLOCK = 25
 
 
@@ -132,14 +134,11 @@ def _in_blocks(fn, *batches):
     return outputs
 
 
-def _pursue(dictionary, signals, beta, iterations, momentum, lipschitz=None, huber=None):
+def _pursue(dictionary, signals, beta, iterations, momentum, lipschitz, huber=None):
     """Nonnegative ISTA (FISTA with ``momentum``) from zero over a batch of
     signals (B, rows), or (B, *input) for an ``array_operator``, stepping by
-    1 / ``lipschitz``, by default the layers' certified ``lipschitz_bound``;
-    run in blocks of ``_BLOCK``. ``huber`` is ``proximal_gradient``'s Huber loss."""
-    if lipschitz is None:
-        lipschitz = lipschitz_bound(dictionary)
-
+    1 / ``lipschitz``, in blocks of ``_BLOCK``; ``huber`` is the Huber loss of
+    ``proximal_gradient``."""
     def pursue(block):
         iterates = proximal_gradient(
             dictionary, block, beta / lipschitz, 1.0 / lipschitz, momentum, nonneg=True,
@@ -223,17 +222,25 @@ def learn_dictionaries(model, dataset, config):
             bank = layer.kernel_bank
             if betas[i] is None:
                 betas[i] = _fraction_beta(bank, signals, config.beta_value)
-            codes = _pursue(
-                array_operator(dictionary), signals, betas[i],
-                config.pursuit_config.iterations, False, lipschitz_bound(dictionary),
-            )
+            operator, lipschitz = array_operator(dictionary), lipschitz_bound(dictionary)
+            correlation = np.zeros_like(bank.taps)
+
+            def train_block(block):
+                codes = last_iterate(proximal_gradient(
+                    operator, block, betas[i] / lipschitz, 1.0 / lipschitz, nonneg=True,
+                ), config.pursuit_config.iterations)
+                if config.dict_step > 0:
+                    residual = (block - dictionary.apply_array(codes)).reshape(len(codes), -1)
+                    conv_codes = codes[..., -bank.width :].reshape(len(codes), -1)
+                    correlation[...] += bank.tap_correlation(residual, conv_codes)
+                return (codes,) if i + 1 < len(model.layers) else ()  # the last layer keeps none
+
+            outputs = _in_blocks(train_block, signals)
             if config.dict_step > 0:
                 # d/dF of the mean 0.5||X - D G||^2; a stack's identity channels have no taps
-                residual = (signals - dictionary.apply_array(codes)).reshape(len(codes), -1)
-                conv_codes = codes[..., -bank.width :].reshape(len(codes), -1)
-                grads = -bank.tap_correlation(residual, conv_codes) / len(codes)
+                grads = -correlation / len(signals)
                 layer.kernel_bank = _update_kernels(bank, grads, config.dict_step)
-            signals = codes
+            signals = outputs[0] if outputs else None
 
         # probe: pursue the whole chain on held-out signals, reconstruct
         # back down through every layer, and count the signal dimensions

@@ -105,3 +105,20 @@ def test_dataset_dataclass_fields():
     data = generate_dataset(small_spec())
     assert isinstance(data, SyntheticDataset)
     assert data.train_labels.dtype.kind in "iu"
+
+
+@pytest.mark.parametrize("spec", [
+    SyntheticDatasetSpec(),
+    SyntheticDatasetSpec(n_classes=20, dim=50, train_per_class=10, test_total=100),  # the sweep's
+    small_spec(),  # 16 test samples over 7 classes
+    small_spec(n_classes=1),
+    small_spec(train_per_class=1, test_total=3),  # classes 3-6 have no test samples
+])
+def test_samples_keep_the_bits_of_centers_plus_scaled_noise(spec):
+    rng = np.random.default_rng(spec.seed)
+    centers = rng.uniform(-spec.center_scale, spec.center_scale, (spec.n_classes, spec.dim))
+    data = generate_dataset(spec)
+    for labels, signals in ((data.train_labels, data.train_signals),
+                            (data.test_labels, data.test_signals)):
+        noise = rng.standard_normal((labels.size, spec.dim))
+        assert np.array_equal(signals, centers[labels] + spec.noise_sigma * noise)

@@ -1,6 +1,7 @@
 """Dictionary learning loop, experiment harness, and CSV writers."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,8 +73,8 @@ def test_batched_ista_matches_per_sample_solver(rng):
     mat = rng.standard_normal((8, 12))
     signals = rng.standard_normal((8, 5))
     beta = 0.2
-    codes = _pursue(mat, signals.T, beta, 15, momentum=False)
     lipschitz = lipschitz_bound(mat)
+    codes = _pursue(mat, signals.T, beta, 15, False, lipschitz)
     for j in range(5):
         problem = LassoProblem(mat, signals[:, j], beta)
         want = ista(
@@ -96,7 +97,7 @@ def test_blocked_pursue_matches_one_unblocked_run(rng, batch, momentum):
             dictionary, signals, 0.1 / lipschitz, 1.0 / lipschitz, momentum, nonneg=True
         )
         want = last_iterate(iterates, 12)
-        got = _pursue(dictionary, signals, 0.1, 12, momentum)
+        got = _pursue(dictionary, signals, 0.1, 12, momentum, lipschitz)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -105,7 +106,8 @@ def test_empty_batch_gives_empty_outputs():
     conv = random_dictionary((12, 2), (3,), 3, dilation=2, padding=SAME)
     signals = np.empty((0, conv.rows))
     for dictionary in (conv, MSDDictionary(conv)):
-        assert _pursue(dictionary, signals, 0.1, 5, True).shape == (0, dictionary.cols)
+        codes = _pursue(dictionary, signals, 0.1, 5, True, lipschitz_bound(dictionary))
+        assert codes.shape == (0, dictionary.cols)
     codes, residuals = _in_blocks(
         lambda block: (conv.apply_adjoint(block), block[:, :3]), signals
     )
@@ -190,9 +192,22 @@ def test_dense_probe_skips_only_fixed_points(rng):
 ])
 @pytest.mark.parametrize("kind", ["mlcsc", "msdcsc"])
 def test_learn_dictionaries_matches_dense_reference(spec, model, kind):
+    _check_against_reference(spec, model, kind, batch_size=8)  # one block
+
+
+@pytest.mark.parametrize("kind", ["mlcsc", "msdcsc"])
+def test_learn_dictionaries_matches_dense_reference_across_blocks(kind):
+    # blocks of 25, 25 and 10: the kernel step sums the blocks' gradient terms
+    assert learning._BLOCK < 60 < 3 * learning._BLOCK
+    spec = dict(dim=16, seed=3, train_per_class=30)
+    model = dict(width=3, kernel_size=3, dilations=[2, 1], seed=4)
+    _check_against_reference(spec, model, kind, batch_size=60)
+
+
+def _check_against_reference(spec, model, kind, batch_size):
     dataset = generate_dataset(tiny_spec(**spec))
     config = tiny_config(outer_iterations=3, probe_size=6, probe_iterations=25,
-                         objective_iterations=60)
+                         objective_iterations=60, batch_size=batch_size)
     doc = dict(model, model=kind, input_shape=[spec["dim"], 1], depth=2)
     want, banks = reference_learn(model_from_config(doc), dataset, config)
     trained, got = learn_dictionaries(model_from_config(doc), dataset, config)
@@ -214,8 +229,8 @@ def test_batched_ista_momentum_improves_objective(rng):
         resid = signals - mat @ codes.T
         return 0.5 * np.sum(resid**2) + 0.1 * np.sum(np.abs(codes))
 
-    plain = _pursue(mat, signals.T, 0.1, 25, momentum=False)
-    accel = _pursue(mat, signals.T, 0.1, 25, momentum=True)
+    plain = _pursue(mat, signals.T, 0.1, 25, False, lipschitz_bound(mat))
+    accel = _pursue(mat, signals.T, 0.1, 25, True, lipschitz_bound(mat))
     assert objective(accel) <= objective(plain) + 1e-9
 
 
@@ -290,6 +305,21 @@ def test_diverging_kernel_step_raises():
         _update_kernels(bank, bank.kernel_array(), 1.0)
 
 
+def test_training_iteration_memory_high_water():
+    # each block forms its kernel-gradient terms in turn and the last layer
+    # keeps no codes; a gradient over the whole batch peaks at 9.9 and 13.7 MB
+    spec = SyntheticDatasetSpec()
+    dataset = generate_dataset(spec)
+    for model in build_fig_models(spec.dim, seed=spec.seed):
+        tracemalloc.start()
+        try:
+            learn_dictionaries(model, dataset, LearnConfig(outer_iterations=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7e6, f"{type(model).__name__}: {peak / 1e6:.2f} MB"
+
+
 def test_learn_dictionaries_runs_matrix_free(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("training materialized a dictionary")
@@ -345,8 +375,9 @@ def test_learn_dictionaries_rejects_unknown_model():
 
 
 def test_learn_config_validation():
-    with pytest.raises(ShapeError):
-        LearnConfig(dict_step=-0.1)
+    for step in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ShapeError):
+            LearnConfig(dict_step=step)
     with pytest.raises(ShapeError):
         LearnConfig(beta_schedule="warmup")
     with pytest.raises(ShapeError):
