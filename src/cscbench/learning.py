@@ -13,7 +13,8 @@ implementation. Training pursuits step by the paper's 1/(2 lambda_bar) =
 conv bank D alone at 1/lambda_bar, as lambda_bar = ``lmax_bound`` >=
 lambda_max(D.T D). On a dense layer it pursues the Huber loss that the
 [I | D] Lasso leaves once its identity channels are solved in closed form,
-and fills them afterwards (``_probe``).
+and fills them afterwards (``_probe``). The unfolding sweep keeps class
+sums of its codes, not the codes, and scores each test block as it is made.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import SyntheticDatasetSpec, classify, generate_dataset
+from .data import SyntheticDatasetSpec, add_class_sums, centroid_hits, class_centroids, generate_dataset
 from .dictionary import ConvDictionary, array_operator, kernel_norms
 from .errors import DivergenceError, ShapeError
 from .models import (
@@ -110,10 +111,10 @@ class ExperimentRecord:
 # Pursuits, training's kernel gradients and layer forwards run over their
 # samples in blocks of this many. Peak RSS: a block's temporaries grow with
 # it; over one sample at a time, the unfold sweep's whole set at once raised
-# its peak RSS by 23%, blocks of 25 by 4%, and a fig4 training iteration
-# traces 5.1 MB in blocks, 13.7 MB unblocked. Cache: a block's pursuit state
-# (codes, momentum point, gradient, windows) stays within a core's L2 cache
-# for every step, where a batch of 64-128 signals does not. Rows are
+# its peak RSS by 23%, blocks of 25 by 4% (streamed, it traces 3.2 MB), and a
+# fig4 iteration traces 5.1 MB in blocks, 13.7 MB unblocked. Cache: a block's
+# pursuit state (codes, momentum point, gradient, windows) stays in a core's
+# L2 cache for every step, where a batch of 64-128 signals does not. Rows are
 # independent, so blocking changes no result beyond rounding.
 _BLOCK = 25
 
@@ -381,14 +382,15 @@ def unfold_objectives(model, signals, unfoldings, solver):
     step) and every chained output on that same input: layer 1's, and
     unfolding 0's.
 
-    Returns {unfolding: (objectives (n_samples, depth), codes (n_samples, F))}.
+    Yields {unfolding: (objectives (B, depth), codes (B, F))} per block.
     """
     depths = sorted(set(unfoldings))
     steps = [1] + [1 + u for u in depths]
     momentum = _momentum(solver)
-
-    def block(x):
-        ref, chained, objectives = x, [x] * len(depths), []
+    signals = np.asarray(signals, dtype=float)[..., None]
+    for start in range(0, len(signals), _BLOCK):
+        ref = signals[start : start + _BLOCK]
+        chained, objectives = [ref] * len(depths), []
         for i, layer in enumerate(model.layers):
             (first, _), *codes = _layer_step(layer, ref, True, steps, momentum, residuals=True)
             beta = -layer.bias[0] * layer.lipschitz(msd=True)
@@ -400,27 +402,17 @@ def unfold_objectives(model, signals, unfoldings, solver):
                 for u, (code, _), inputs in zip(depths, codes, chained)
             ]
             ref = first
-        return (
-            *(np.stack(per_layer, axis=1) for per_layer in zip(*objectives)),
-            *(codes.reshape(len(codes), -1) for codes in chained),
-        )
-
-    parts = _in_blocks(block, np.asarray(signals, dtype=float)[..., None])
-    return {u: (parts[k], parts[len(depths) + k]) for k, u in enumerate(depths)}
+        yield {
+            u: (np.stack(per_layer, axis=1), codes.reshape(len(codes), -1))
+            for u, per_layer, codes in zip(depths, zip(*objectives), chained)
+        }
 
 
-def unfold_sweep(
-    unfoldings=(0, 1, 2),
-    solver="ista",
-    dataset_spec=None,
-    width=8,
-    depth=2,
-    kernel_size=3,
-    beta=0.1,
-    seed=0,
-):
+def unfold_sweep(unfoldings=(0, 1, 2), solver="ista", dataset_spec=None, width=8, depth=2,
+                 kernel_size=3, beta=0.1, seed=0):
     """Pursuit objective + nearest-centroid accuracy across unfolding depths,
-    one row per entry of ``unfoldings``, in the order given."""
+    one row per entry of ``unfoldings``, in the order given. Training blocks
+    add their codes into class sums and test blocks are scored as they come."""
     dataset_spec = dataset_spec or SyntheticDatasetSpec(
         n_classes=20, dim=50, train_per_class=10, test_total=100, seed=seed
     )
@@ -428,23 +420,30 @@ def unfold_sweep(
     model = build_pursuit_model(
         dataset_spec.dim, width, depth, kernel_size, seed, beta, calibration=dataset.train_signals
     )
-    train = unfold_objectives(model, dataset.train_signals, unfoldings, solver)
-    test = unfold_objectives(model, dataset.test_signals, unfoldings, solver)
+    classes = np.unique(np.concatenate([dataset.train_labels, dataset.test_labels]))
+    indices = np.searchsorted(classes, dataset.train_labels)
+    objectives, hits = {u: [] for u in unfoldings}, dict.fromkeys(unfoldings, 0)
+
+    def blocks(signals):  # (unfolding, codes, sample slice) per block and depth
+        for start, block in zip(range(0, len(signals), _BLOCK),
+                                unfold_objectives(model, signals, unfoldings, solver)):
+            for u, (objective, codes) in block.items():
+                objectives[u].append(objective)
+                yield u, codes, slice(start, start + _BLOCK)
+
+    features = model.layers[-1].dictionary(msd=True).cols
+    sums = {u: np.zeros((classes.size, features)) for u in unfoldings}
+    for u, codes, part in blocks(dataset.train_signals):
+        add_class_sums(sums[u], codes, indices[part])
+    centers = {u: class_centroids(sums[u], indices, classes) for u in unfoldings}
+    for u, codes, part in blocks(dataset.test_signals):
+        hits[u] += centroid_hits(centers[u], classes, codes, dataset.test_labels[part])
     rows, details = [], {}
     for unfolding in unfoldings:
-        (train_obj, train_codes), (test_obj, test_codes) = train[unfolding], test[unfolding]
-        accuracy = classify(
-            train_codes, dataset.train_labels, test_codes, dataset.test_labels
-        )
-        all_obj = np.vstack([train_obj, test_obj])
-        rows.append(
-            {
-                "unfolding": int(unfolding),
-                "solver": solver,
-                "mean_objective": float(all_obj.mean()),
-                "accuracy": accuracy,
-            }
-        )
+        all_obj = np.vstack(objectives[unfolding])
+        rows.append({"unfolding": int(unfolding), "solver": solver,
+                     "mean_objective": float(all_obj.mean()),
+                     "accuracy": hits[unfolding] / len(dataset.test_labels)})
         details[int(unfolding)] = all_obj
     return rows, details
 

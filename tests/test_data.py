@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from cscbench.data import SyntheticDataset, SyntheticDatasetSpec, classify, generate_dataset
+from cscbench.data import (
+    SyntheticDataset,
+    SyntheticDatasetSpec,
+    add_class_sums,
+    centroid_hits,
+    class_centroids,
+    classify,
+    generate_dataset,
+)
 from cscbench.errors import DegenerateClassError, ShapeError
 
 
@@ -56,8 +64,10 @@ def test_centers_bounded_by_scale():
 def test_spec_validation():
     with pytest.raises(ShapeError):
         SyntheticDatasetSpec(n_classes=0)
-    with pytest.raises(ShapeError):
-        SyntheticDatasetSpec(noise_sigma=-0.1)
+    for field in ("noise_sigma", "center_scale"):
+        for value in (-0.1, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ShapeError, match=field):
+                SyntheticDatasetSpec(**{field: value})
 
 
 def test_classify_trivial_separable():
@@ -79,6 +89,34 @@ def test_classify_label_count_validation():
         classify(np.zeros((2, 3)), np.array([0]), np.zeros((1, 3)), np.array([0]))
     with pytest.raises(ShapeError):
         classify(np.zeros((2, 3)), np.array([0, 1]), np.zeros((2, 3)), np.array([0]))
+    with pytest.raises(ShapeError):  # no test codes: no accuracy
+        classify(np.zeros((2, 3)), np.array([0, 1]), np.zeros((0, 3)), np.array([], dtype=int))
+
+
+def test_streamed_centroids_are_classify_bit_for_bit(rng):
+    # 7 classes x 4 training codes, shuffled, in blocks of 5: class runs
+    # straddle block boundaries; 16 test codes in blocks of 5, 5, 5 and 1
+    data = generate_dataset(small_spec(noise_sigma=1.0))
+    values = np.array([2, 5, 6, 9, 11, 13, 20])  # labels that are not row indices
+    train, test = rng.permutation(28), rng.permutation(16)
+    train_codes, train_labels = data.train_signals[train], values[data.train_labels[train]]
+    test_codes, test_labels = data.test_signals[test], values[data.test_labels[test]]
+    classes = np.unique(np.concatenate([train_labels, test_labels]))
+    indices = np.searchsorted(classes, train_labels)
+    sums = np.zeros((7, 5))
+    for i in range(0, 28, 5):
+        add_class_sums(sums, train_codes[i : i + 5], indices[i : i + 5])
+    centroids = class_centroids(sums, indices, classes)
+    for centroid, cls in zip(centroids, classes):
+        assert np.array_equal(centroid, train_codes[train_labels == cls].mean(axis=0))
+    hits = sum(centroid_hits(centroids, classes, test_codes[i : i + 5], test_labels[i : i + 5])
+               for i in range(0, 16, 5))
+    assert 0 < hits < 16
+    assert hits / 16 == classify(train_codes, train_labels, test_codes, test_labels)
+    # a class with test codes alone has no centroid
+    classes = np.append(classes, 21)
+    with pytest.raises(DegenerateClassError, match="class 21"):
+        class_centroids(np.zeros((8, 5)), indices, classes)
 
 
 def test_classify_shuffled_labels_near_chance(rng):

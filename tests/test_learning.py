@@ -408,6 +408,21 @@ def test_fig_models_share_first_layer_kernels_and_beta(rng):
 # -- unfolding sweep -------------------------------------------------------------------
 
 
+# 9 signals make one block of ``unfold_objectives``, 60 make blocks of 25, 25 and 10
+SWEEP_SIGNALS = (9, 60)
+
+
+def _sweep_blocks(model, n, unfoldings, solver):
+    """``unfold_objectives``' blocks over ``n`` tiny signals, each with its
+    signals (B, 12, 1)."""
+    signals = generate_dataset(tiny_spec(test_total=n)).test_signals
+    blocks = list(unfold_objectives(model, signals, unfoldings, solver))
+    inputs = [signals[i : i + learning._BLOCK, :, None] for i in range(0, n, learning._BLOCK)]
+    assert [{len(codes) for _, codes in block.values()} for block in blocks] \
+        == [{len(x)} for x in inputs]
+    return zip(blocks, inputs)
+
+
 def test_reference_inputs_fixed_across_unfolding():
     # each layer's objective is on one problem at every depth: layer 2's
     # signal is the single-step output of layer 1, whatever the unfolding.
@@ -417,17 +432,19 @@ def test_reference_inputs_fixed_across_unfolding():
     model = build_pursuit_model(
         12, width=2, depth=2, seed=0, beta=0.1, calibration=dataset.train_signals
     )
-    x = dataset.test_signals[..., None]  # 9 signals: one block
-    refs = [x, msdcsc_layer_forward(model.layers[0], x, 0, "ista")]
-    results = unfold_objectives(model, dataset.test_signals, (2, 0, 1), "ista")
-    assert sorted(results) == [0, 1, 2]
-    for unfolding, (objectives, _) in results.items():
-        for i, (layer, ref) in enumerate(zip(model.layers, refs)):
-            beta = -layer.bias[0] * layer.lipschitz(msd=True)
-            problem = LassoProblem(layer.dictionary(msd=True), ref.reshape(len(ref), -1), beta)
-            out = msdcsc_layer_forward(layer, ref, unfolding, "ista")
-            want = lasso_objective(problem, _unstack(out.reshape(len(out), -1), layer.kernel_bank))
-            assert np.allclose(objectives[:, i], want, rtol=1e-14, atol=0.0)
+    for n in SWEEP_SIGNALS:
+        for results, x in _sweep_blocks(model, n, (2, 0, 1), "ista"):
+            refs = [x, msdcsc_layer_forward(model.layers[0], x, 0, "ista")]
+            assert sorted(results) == [0, 1, 2]
+            for unfolding, (objectives, _) in results.items():
+                for i, (layer, ref) in enumerate(zip(model.layers, refs)):
+                    beta = -layer.bias[0] * layer.lipschitz(msd=True)
+                    problem = LassoProblem(layer.dictionary(msd=True),
+                                           ref.reshape(len(ref), -1), beta)
+                    out = msdcsc_layer_forward(layer, ref, unfolding, "ista")
+                    want = lasso_objective(problem,
+                                           _unstack(out.reshape(len(out), -1), layer.kernel_bank))
+                    assert np.allclose(objectives[:, i], want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("solver", ["ista", "fista"])
@@ -436,12 +453,13 @@ def test_unfold_objectives_codes_are_the_chained_forward(solver):
     model = build_pursuit_model(
         12, width=2, depth=3, seed=0, beta=0.1, calibration=dataset.train_signals
     )
-    results = unfold_objectives(model, dataset.test_signals, (1, 0, 2, 1), solver)
-    for unfolding, (_, codes) in results.items():
-        x = dataset.test_signals[..., None]  # 9 signals: one block
-        for layer in model.layers:
-            x = msdcsc_layer_forward(layer, x, unfolding, solver)
-        assert np.array_equal(codes, x.reshape(len(x), -1))
+    for n in SWEEP_SIGNALS:
+        for results, signals in _sweep_blocks(model, n, (1, 0, 2, 1), solver):
+            for unfolding, (_, codes) in results.items():
+                x = signals
+                for layer in model.layers:
+                    x = msdcsc_layer_forward(layer, x, unfolding, solver)
+                assert np.array_equal(codes, x.reshape(len(x), -1))
 
 
 def test_unfold_objectives_nonincreasing_on_fixed_problems():
@@ -449,15 +467,30 @@ def test_unfold_objectives_nonincreasing_on_fixed_problems():
     model = build_pursuit_model(
         12, width=2, depth=2, seed=0, beta=0.1, calibration=dataset.train_signals
     )
-    results = unfold_objectives(model, dataset.test_signals, (0, 1, 2), "ista")
-    previous = None
-    for unfolding in (0, 1, 2):
-        obj, codes = results[unfolding]
-        assert obj.shape == (9, 2)
-        assert codes.shape[0] == 9
-        if previous is not None:
-            assert np.all(obj <= previous + 1e-12)
-        previous = obj
+    for n in SWEEP_SIGNALS:
+        blocks = [results for results, _ in _sweep_blocks(model, n, (0, 1, 2), "ista")]
+        previous = None
+        for unfolding in (0, 1, 2):
+            obj, codes = (np.concatenate(parts) for parts in
+                          zip(*(results[unfolding] for results in blocks)))
+            assert obj.shape == (n, 2)
+            assert codes.shape[0] == n
+            if previous is not None:
+                assert np.all(obj <= previous + 1e-12)
+            previous = obj
+
+
+def test_unfold_sweep_memory_high_water():
+    # each block's codes go into per-class sums or are scored as they are
+    # made; holding every depth's train and test codes peaked at 8.1 MB
+    unfold_sweep()  # warm-up
+    tracemalloc.start()
+    try:
+        unfold_sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6, f"{peak / 1e6:.2f} MB"
 
 
 def test_unfold_sweep_rows_and_ordering():
