@@ -14,6 +14,7 @@ from .dictionary import (
     to_matrix,
 )
 from .models import (
+    DenseLayer,
     LayerParams,
     MLCSCModel,
     MSDCSCModel,
@@ -43,6 +44,7 @@ __all__ = [
     "PursuitConfig",
     "PursuitResult",
     "LayerParams",
+    "DenseLayer",
     "MLCSCModel",
     "MSDCSCModel",
     "ResCSCModel",

@@ -24,7 +24,7 @@ from .dictionary import (
     to_matrix,
 )
 from .errors import BoundInapplicableError, ShapeError
-from .models import SOFT, LayerParams, MLCSCModel, mlcsc_forward, msdcsc_layer_forward
+from .models import SOFT, DenseLayer, LayerParams, MLCSCModel, mlcsc_forward, msdcsc_layer_forward
 from .numeric import relu, symmetric_eigs
 from .pursuit import LassoProblem, lasso_objective
 
@@ -261,9 +261,7 @@ def check_proposition1(seed=0, instances=50, tol=1e-12):
             (length, channels), (3,), width, dilation=int(rng.integers(1, 3)),
             padding=SAME, seed=int(rng.integers(0, 2**31)),
         )
-        layer = LayerParams(
-            bank, bias=rng.uniform(-1.0, 0.0, size=width), scale=1.0
-        )
+        layer = DenseLayer(bank, bias=rng.uniform(-1.0, 0.0, size=width), scale=1.0)
         x = np.abs(rng.standard_normal((length, channels)))
         worst = max(worst, proposition1_check(layer, x))
     return {

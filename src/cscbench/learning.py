@@ -2,19 +2,20 @@
 
 Training works on 1D signals, batch first: a mini-batch is (B, *input), and
 each layer's code array, a dense layer's channel stack, is the next layer's
-input. Every pursuit is :func:`cscbench.pursuit.proximal_gradient` on the
-dictionaries' array operators, one block of the batch at a time, and each
-training block adds its correlation of residual windows with its codes
+input. Every pursuit is one :func:`cscbench.models._layer_step` call on a
+layer, one block of the batch at a time, and each training block adds its
+correlation of residual windows with its codes
 (``ConvDictionary.tap_correlation``) to the kernel gradient, so no
 dictionary is materialized and the last layer keeps no codes; the
 per-sample solvers in :mod:`cscbench.pursuit` stay the reference
-implementation. Training pursuits step by the paper's 1/(2 lambda_bar) =
-1/``lipschitz_bound``; the logging probe, no model layer, runs FISTA on each
-conv bank D alone at 1/lambda_bar, as lambda_bar = ``lmax_bound`` >=
-lambda_max(D.T D). On a dense layer it pursues the Huber loss that the
-[I | D] Lasso leaves once its identity channels are solved in closed form,
-and fills them afterwards (``_probe``). The unfolding sweep keeps class
-sums of its codes, not the codes, and scores each test block as it is made.
+implementation. Training pursuits run each layer in pursuit mode, stepping
+by the paper's 1/(2 lambda_bar) = 1/``lipschitz_bound``; the logging probe,
+no model layer, runs FISTA on each conv bank D alone through a plain layer
+at scale 1/lambda_bar, as lambda_bar = ``lmax_bound`` >= lambda_max(D.T D).
+On a dense layer it pursues the Huber loss that the [I | D] Lasso leaves
+once its identity channels are solved in closed form, and fills them
+afterwards (``_probe``). The unfolding sweep keeps class sums of its codes,
+not the codes, and scores each test block as it is made.
 """
 
 from __future__ import annotations
@@ -27,24 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import SyntheticDatasetSpec, add_class_sums, centroid_hits, class_centroids, generate_dataset
-from .dictionary import ConvDictionary, array_operator, kernel_norms
+from .dictionary import ConvDictionary, kernel_norms
 from .errors import DivergenceError, ShapeError
-from .models import (
-    LayerParams,
-    MLCSCModel,
-    MSDCSCModel,
-    _layer_step,
-    _momentum,
-    model_from_config,
-    msdcsc_layer_forward,
-)
-from .pursuit import (
-    PursuitConfig,
-    _objective,
-    last_iterate,
-    lipschitz_bound,
-    proximal_gradient,
-)
+from .models import (DenseLayer, LayerParams, MLCSCModel, MSDCSCModel, _layer_step, _momentum,
+                     model_from_config, msdcsc_layer_forward)
+from .pursuit import PursuitConfig, _objective
 
 INIT_FRACTION = "init-fraction"
 
@@ -135,25 +123,11 @@ def _in_blocks(fn, *batches):
     return outputs
 
 
-def _pursue(dictionary, signals, beta, iterations, momentum, lipschitz, huber=None):
-    """Nonnegative ISTA (FISTA with ``momentum``) from zero over a batch of
-    signals (B, rows), or (B, *input) for an ``array_operator``, stepping by
-    1 / ``lipschitz``, in blocks of ``_BLOCK``; ``huber`` is the Huber loss of
-    ``proximal_gradient``."""
-    def pursue(block):
-        iterates = proximal_gradient(
-            dictionary, block, beta / lipschitz, 1.0 / lipschitz, momentum, nonneg=True,
-            huber=huber,
-        )
-        return (last_iterate(iterates, iterations),)
-
-    return _in_blocks(pursue, signals)[0]
-
-
-def _probe(bank, signals, beta, iterations, msd):
-    """The logging probe's codes, a dense layer's channel stacks, for a batch
-    (B, *input): nonnegative FISTA from zero at 1/lambda_bar, lambda_bar =
-    ``bank.lmax_bound``.
+def _probe(layer, signals, beta, iterations):
+    """The logging probe's codes of ``layer``'s bank D, a dense layer's
+    channel stacks, for a batch (B, *input): nonnegative FISTA from zero at
+    1/lambda_bar, lambda_bar = ``D.lmax_bound``, on a plain layer over D with
+    bias -beta/lambda_bar and scale 1/lambda_bar.
 
     A dense layer's [I | D] Lasso is pursued on D alone: the best identity
     code for a conv code z is u = max(x - D z - beta, 0), which leaves
@@ -163,15 +137,40 @@ def _probe(bank, signals, beta, iterations, msd):
     only the others run on. The test is that first step itself, so a skipped
     signal keeps the bits its own run would have given it.
     """
-    lmax, operator = bank.lmax_bound, array_operator(bank)
-    if not msd:
-        return _pursue(operator, signals, beta, iterations, True, lmax)
+    bank, lmax = layer.kernel_bank, layer.kernel_bank.lmax_bound
+    plain = LayerParams(bank, bias=np.full(bank.width, -beta / lmax), scale=1.0 / lmax)
+    huber = beta if isinstance(layer, DenseLayer) else None
+
+    def pursue(signals, steps):
+        return _in_blocks(lambda block: _layer_step(plain, block, (steps,), True, huber=huber),
+                          signals)[0]
+
+    if huber is None:
+        return pursue(signals, iterations)
     codes = np.zeros((len(signals), *bank.out_spatial, bank.width))
-    first = _pursue(operator, signals, beta, 1, True, lmax, beta)
-    live = np.flatnonzero(first.reshape(len(signals), bank.cols).any(axis=1))
-    codes[live] = _pursue(operator, signals[live], beta, iterations, True, lmax, beta)
+    live = np.flatnonzero(pursue(signals, 1).reshape(len(signals), bank.cols).any(axis=1))
+    codes[live] = pursue(signals[live], iterations)
     identity = np.maximum(signals - bank.apply_array(codes) - beta, 0.0)
     return np.concatenate([identity, codes], axis=-1)
+
+
+def _probe_stats(layers, probe, betas, config):
+    """The logging probe on the held-out signals ``probe``: pursue the whole
+    chain, reconstruct back down through every layer, and count the signal
+    dimensions whose reconstruction error exceeds 2 beta_1. Returns that
+    mean count and layer 1's mean Lasso objective; no probe array outlives
+    the call, so none is held while the next batch trains."""
+    codes = [probe]  # a layer's input is the last one's code
+    for i, layer in enumerate(layers):
+        iterations = config.probe_iterations if i else config.objective_iterations
+        codes.append(_probe(layer, codes[-1], betas[i], iterations))
+    recon = codes[-1]
+    for layer in reversed(layers):
+        recon = layer.dictionary().apply_array(recon)
+    misses = np.abs(recon - probe) > 2.0 * betas[0]
+    unsuccess = float(np.mean(np.sum(misses.reshape(len(probe), -1), axis=1)))
+    residual = layers[0].dictionary().apply_array(codes[1]) - probe
+    return unsuccess, float(np.mean(_objectives(betas[0], residual, codes[1])))
 
 
 def _objectives(beta, residual, code):
@@ -180,9 +179,9 @@ def _objectives(beta, residual, code):
 
 
 def _fraction_beta(bank, signals, rho):
-    """rho * max |F^T X| over a batch (B, rows) or (B, *input), on the conv
-    bank alone so that a dense layer and its plain twin get matching betas."""
-    return float(rho * np.max(np.abs(bank.apply_adjoint(signals.reshape(len(signals), -1)))))
+    """rho * max |F^T X| over a batch (B, *input), on the conv bank alone so
+    that a dense layer and its plain twin get matching betas."""
+    return float(rho * np.max(np.abs(bank.adjoint_array(signals))))
 
 
 def _update_kernels(bank, grads, step):
@@ -204,7 +203,6 @@ def learn_dictionaries(model, dataset, config):
     re-normalized kernel banks. Layer-1 reconstruction statistics on a
     held-out probe batch are logged each outer iteration.
     """
-    msd = isinstance(model, MSDCSCModel)
     if not isinstance(model, (MLCSCModel, MSDCSCModel)):
         raise ShapeError("learning supports plain and dense models")
     rng = np.random.default_rng(config.seed)
@@ -219,19 +217,17 @@ def learn_dictionaries(model, dataset, config):
         batch_idx = rng.choice(train.shape[0], size=min(config.batch_size, train.shape[0]), replace=False)
         signals = train[batch_idx]  # (B, *input)
         for i, layer in enumerate(model.layers):
-            dictionary = layer.dictionary(msd)
             bank = layer.kernel_bank
             if betas[i] is None:
                 betas[i] = _fraction_beta(bank, signals, config.beta_value)
-            operator, lipschitz = array_operator(dictionary), lipschitz_bound(dictionary)
+            pursuit_layer = type(layer).pursuit_mode(bank, betas[i])
             correlation = np.zeros_like(bank.taps)
 
             def train_block(block):
-                codes = last_iterate(proximal_gradient(
-                    operator, block, betas[i] / lipschitz, 1.0 / lipschitz, nonneg=True,
-                ), config.pursuit_config.iterations)
+                (codes,) = _layer_step(pursuit_layer, block, (config.pursuit_config.iterations,))
                 if config.dict_step > 0:
-                    residual = (block - dictionary.apply_array(codes)).reshape(len(codes), -1)
+                    residual = block - pursuit_layer.dictionary().apply_array(codes)
+                    residual = residual.reshape(len(codes), -1)
                     conv_codes = codes[..., -bank.width :].reshape(len(codes), -1)
                     correlation[...] += bank.tap_correlation(residual, conv_codes)
                 return (codes,) if i + 1 < len(model.layers) else ()  # the last layer keeps none
@@ -243,32 +239,9 @@ def learn_dictionaries(model, dataset, config):
                 layer.kernel_bank = _update_kernels(bank, grads, config.dict_step)
             signals = outputs[0] if outputs else None
 
-        # probe: pursue the whole chain on held-out signals, reconstruct
-        # back down through every layer, and count the signal dimensions
-        # whose reconstruction error exceeds 2 beta_1
-        dictionaries = [layer.dictionary(msd) for layer in model.layers]
-        probe_codes = []
-        x = probe
-        for i, layer in enumerate(model.layers):
-            iterations = config.probe_iterations if i else config.objective_iterations
-            x = _probe(layer.kernel_bank, x, betas[i], iterations, msd)
-            probe_codes.append(x)
-        recon = probe_codes[-1]
-        for dictionary in reversed(dictionaries):  # a layer's input is the last one's code
-            recon = dictionary.apply_array(recon)
-        misses = np.abs(recon - probe) > 2.0 * betas[0]
-        unsuccess = float(np.mean(np.sum(misses.reshape(len(probe), -1), axis=1)))
-        residual = dictionaries[0].apply_array(probe_codes[0]) - probe
-        objective = float(np.mean(_objectives(betas[0], residual, probe_codes[0])))
-        records.append(
-            TrainingRecord(
-                iteration=iteration,
-                unsuccess_count=unsuccess,
-                objective=objective,
-                beta=betas[0],
-                wall_ms=(time.perf_counter() - start) * 1e3,
-            )
-        )
+        unsuccess, objective = _probe_stats(model.layers, probe, betas, config)
+        wall_ms = (time.perf_counter() - start) * 1e3
+        records.append(TrainingRecord(iteration, unsuccess, objective, betas[0], wall_ms))
     return model, records
 
 
@@ -296,27 +269,14 @@ def reconstruction_experiment(
     dataset_spec = dataset_spec or SyntheticDatasetSpec()
     learn_config = learn_config or LearnConfig()
     dataset = generate_dataset(dataset_spec)
-    ml_model, msd_model = build_fig_models(
-        dataset_spec.dim,
-        width=width,
-        depth=depth,
-        kernel_size=kernel_size,
-        seed=dataset_spec.seed,
-    )
-    _, ml_records = learn_dictionaries(ml_model, dataset, learn_config)
-    _, msd_records = learn_dictionaries(msd_model, dataset, learn_config)
-    rows = [
-        ExperimentRecord(
-            iteration=ml.iteration,
-            unsuccess_count_ml=ml.unsuccess_count,
-            unsuccess_count_msd=msd.unsuccess_count,
-            objective_ml=ml.objective,
-            objective_msd=msd.objective,
-            wall_ms=ml.wall_ms + msd.wall_ms,
-        )
-        for ml, msd in zip(ml_records, msd_records)
+    models = build_fig_models(dataset_spec.dim, width=width, depth=depth,
+                              kernel_size=kernel_size, seed=dataset_spec.seed)
+    ml_records, dense_records = (learn_dictionaries(m, dataset, learn_config)[1] for m in models)
+    return [
+        ExperimentRecord(ml.iteration, ml.unsuccess_count, dense.unsuccess_count,
+                         ml.objective, dense.objective, ml.wall_ms + dense.wall_ms)
+        for ml, dense in zip(ml_records, dense_records)
     ]
-    return rows
 
 
 FIG4_HEADER = [
@@ -363,7 +323,7 @@ def build_pursuit_model(dim, width=8, depth=2, kernel_size=3, seed=0, beta=0.1, 
     x = np.asarray(calibration, dtype=float)[..., None]
     for i, layer in enumerate(model.layers):
         layer_beta = _fraction_beta(layer.kernel_bank, x, beta)
-        layer = model.layers[i] = LayerParams.pursuit_mode(layer.kernel_bank, layer_beta, msd=True)
+        layer = model.layers[i] = type(layer).pursuit_mode(layer.kernel_bank, layer_beta)
         if i + 1 < depth:  # the last output feeds nothing
             (x,) = _in_blocks(lambda block: (msdcsc_layer_forward(layer, block, 0, "ista"),), x)
     return model
@@ -392,13 +352,13 @@ def unfold_objectives(model, signals, unfoldings, solver):
         ref = signals[start : start + _BLOCK]
         chained, objectives = [ref] * len(depths), []
         for i, layer in enumerate(model.layers):
-            (first, _), *codes = _layer_step(layer, ref, True, steps, momentum, residuals=True)
-            beta = -layer.bias[0] * layer.lipschitz(msd=True)
+            (first, _), *codes = _layer_step(layer, ref, steps, momentum, residuals=True)
+            beta = -layer.bias[0] * layer.lipschitz()
             objectives.append([_objectives(beta, residual, code) for code, residual in codes])
             # the chained input is the reference input on layer 1 and at unfolding 0
             chained = [
                 code if i == 0 or u == 0
-                else _layer_step(layer, inputs, True, (1 + u,), momentum)[0]
+                else _layer_step(layer, inputs, (1 + u,), momentum)[0]
                 for u, (code, _), inputs in zip(depths, codes, chained)
             ]
             ref = first
@@ -431,7 +391,7 @@ def unfold_sweep(unfoldings=(0, 1, 2), solver="ista", dataset_spec=None, width=8
                 objectives[u].append(objective)
                 yield u, codes, slice(start, start + _BLOCK)
 
-    features = model.layers[-1].dictionary(msd=True).cols
+    features = model.layers[-1].dictionary().cols
     sums = {u: np.zeros((classes.size, features)) for u in unfoldings}
     for u, codes, part in blocks(dataset.train_signals):
         add_class_sums(sums[u], codes, indices[part])

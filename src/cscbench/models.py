@@ -6,9 +6,15 @@ layer with bias -t. Pursuit-mode constructors derive bias = -beta / L so
 the two conventions never conflict.
 
 Signals and codes flow through the models as arrays of shape
-(*spatial, channels), and the layers pursue on them. A dense layer's code
-is its channel stack (*spatial, c + w), its input's c channels and its w
-conv channels, which is the next layer's input as it stands.
+(*spatial, channels), and the layers pursue on them. A layer's type says
+which dictionary it pursues on: a ``LayerParams`` on its bank F, a
+``DenseLayer`` on [I | F]. A dense layer's code is its channel stack
+(*spatial, c + w), its input's c channels and its w conv channels, which
+is the next layer's input as it stands.
+
+``_layer_step`` is the one entry to batched pursuit: the three forwards,
+training's pursuits, the logging probe and the unfolding sweep of
+:mod:`cscbench.learning` all call it on a layer.
 """
 
 from __future__ import annotations
@@ -18,14 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pursuit
-from .dictionary import (
-    SAME,
-    ConvDictionary,
-    MSDDictionary,
-    apply,
-    array_operator,
-    random_dictionary,
-)
+from .dictionary import SAME, ConvDictionary, MSDDictionary, array_operator, random_dictionary
 from .errors import ShapeError
 
 SOFT = "soft"
@@ -34,17 +33,19 @@ NONNEG = "nonneg"
 
 @dataclass
 class LayerParams:
-    """One layer: kernel bank F_i, per-kernel additive bias, step scale c_i.
+    """One plain layer: kernel bank F_i, per-kernel additive bias, step scale c_i.
 
     ``scale=None`` means 1 / L of the layer's dictionary, resolved lazily.
-    ``passthrough_bias`` only matters for dense (MSD) layers, where it is
-    the additive bias on the identity channels (0 in network mode).
+    ``DenseLayer`` is the dense (MSD) kind. ``LayerParams(...,
+    passthrough_bias=b)`` builds one, as perfbench's oracle tests do.
     """
 
     kernel_bank: ConvDictionary
     bias: np.ndarray
     scale: float | None = None
-    passthrough_bias: float = 0.0
+
+    def __new__(cls, *args, **kwargs):
+        return super().__new__(DenseLayer if "passthrough_bias" in kwargs else cls)
 
     def __post_init__(self):
         self.bias = np.asarray(self.bias, dtype=float)
@@ -56,59 +57,82 @@ class LayerParams:
         if self.scale is not None and self.scale <= 0:
             raise ShapeError("scale must be positive")
 
-    def dictionary(self, msd=False):
-        """The layer's dictionary: F, or [I | F] for a dense layer."""
-        return MSDDictionary(self.kernel_bank) if msd else self.kernel_bank
+    def dictionary(self):
+        """The layer's dictionary, its kernel bank F."""
+        return self.kernel_bank
 
-    def lipschitz(self, msd=False):
-        return pursuit.lipschitz_bound(self.dictionary(msd))
+    def thresholds(self):
+        """The prox thresholds, one per channel of the layer's code: -bias."""
+        return -self.bias
 
-    def effective_scale(self, msd=False):
-        if self.scale is not None:
-            return self.scale
-        return 1.0 / self.lipschitz(msd=msd)
+    def lipschitz(self):
+        return pursuit.lipschitz_bound(self.dictionary())
+
+    def effective_scale(self):
+        return self.scale if self.scale is not None else 1.0 / self.lipschitz()
 
     @classmethod
-    def pursuit_mode(cls, kernel_bank, beta, msd=False):
+    def pursuit_mode(cls, kernel_bank, beta):
         """Layer whose forward pass is one ISTA step: c = 1/L, bias = -beta/L."""
         layer = cls(kernel_bank, bias=np.zeros(kernel_bank.width))
-        lipschitz = layer.lipschitz(msd=msd)
+        lipschitz = layer.lipschitz()
         layer.scale = 1.0 / lipschitz
         layer.bias = np.full(kernel_bank.width, -beta / lipschitz)
-        layer.passthrough_bias = -beta / lipschitz if msd else 0.0
+        return layer
+
+
+@dataclass
+class DenseLayer(LayerParams):
+    """One dense (MSD) layer: dictionary [I | F] over a same-padded bank F.
+    ``passthrough_bias`` is the additive bias on the identity channels (0 in
+    network mode, -beta/L in pursuit mode)."""
+
+    passthrough_bias: float = 0.0
+
+    def dictionary(self):
+        return MSDDictionary(self.kernel_bank)
+
+    def thresholds(self):
+        """-passthrough_bias on each identity channel, then -bias per kernel."""
+        return np.concatenate([np.full(self.kernel_bank.channels, -self.passthrough_bias),
+                               -self.bias])
+
+    @classmethod
+    def pursuit_mode(cls, kernel_bank, beta):
+        """One ISTA step on [I | F]: bias = -beta/L on the identity channels too."""
+        layer = super().pursuit_mode(kernel_bank, beta)
+        layer.passthrough_bias = -beta / layer.lipschitz()
         return layer
 
 
 def _layer_step(
-    layer, x, msd=False, steps=(1,), momentum=False, nonneg=True, init=None, residuals=False
+    layer, x, steps=(1,), momentum=False, nonneg=True, init=None, residuals=False, huber=None
 ):
-    """Every forward layer: one run of proximal-gradient steps on the signal
-    ``x`` over ``layer.dictionary(msd)``'s array operators at step c =
-    ``effective_scale``, with thresholds -bias per kernel (-passthrough_bias
-    on a dense layer's identity channels), from the code array ``init`` or
-    from zero, read off after each of the step counts ``steps``.
+    """Every batched pursuit in the package: one run of proximal-gradient
+    steps on the signal ``x`` over ``layer.dictionary()``'s array operators
+    at step c = ``effective_scale``, with the layer's ``thresholds``, from the
+    code array ``init`` or from zero, read off after each of the step counts
+    ``steps``; ``huber`` is ``proximal_gradient``'s Huber loss.
 
-    ``x`` is (*spatial, c); only a dense layer also takes a batch
-    (B, *spatial, c). Returns one code per step count: (*out, width), or for
-    a dense layer its channel stack (..., *spatial, c + w); with
-    ``residuals``, each paired with its residual D code - x.
+    ``x`` is (*spatial, c) or a batch (B, *spatial, c). Returns one code per
+    step count: (..., *out, width), or for a dense layer its channel stack
+    (..., *spatial, c + w); with ``residuals``, each paired with its residual
+    D code - x.
     """
     x = np.asarray(x, dtype=float)
     conv = layer.kernel_bank
     lead = x.ndim - len(conv.input_shape)
-    if x.shape[lead:] != conv.input_shape or not 0 <= lead <= msd:
+    if x.shape[lead:] != conv.input_shape or lead not in (0, 1):
         raise ShapeError(
             f"layer input of shape {x.shape} does not match dictionary input "
             f"{conv.input_shape}"
         )
-    threshold = -layer.bias
-    if msd:  # one threshold per channel of the stack, the same at every position
-        threshold = np.concatenate([np.full(conv.channels, -layer.passthrough_bias), threshold])
+    threshold = layer.thresholds()  # per channel, the same at every position
     if np.all(threshold == threshold[0]):  # as in pursuit mode: a scalar broadcasts fastest
         threshold = threshold[0]
-    operator = array_operator(layer.dictionary(msd))
+    operator = array_operator(layer.dictionary())
     iterates = pursuit.proximal_gradient(
-        operator, x, threshold, layer.effective_scale(msd), momentum, nonneg, init, residuals
+        operator, x, threshold, layer.effective_scale(), momentum, nonneg, init, residuals, huber
     )
     if not residuals:
         return pursuit.iterates_at(iterates, steps)
@@ -116,8 +140,16 @@ def _layer_step(
     last = max(steps)
     wanted = sorted({*steps, *(n + 1 for n in steps if n < last)})
     at = dict(zip(wanted, pursuit.iterates_at(iterates, wanted)))
-    deepest = apply(operator, at[last][0]) - x
+    deepest = operator.apply(at[last][0]) - x
     return [(at[n][0], at[n + 1][1] if n < last else deepest) for n in steps]
+
+
+def _one_signal(layer, x):
+    """``x`` as one input of ``layer``, for the forwards that take no batch."""
+    x, shape = np.asarray(x, dtype=float), layer.kernel_bank.input_shape
+    if x.shape != shape:
+        raise ShapeError(f"layer input of shape {x.shape} does not match dictionary input {shape}")
+    return x
 
 
 def _nonneg(operator):
@@ -144,7 +176,7 @@ def mlcsc_forward(model, x):
     nonneg = _nonneg(model.operator)
     codes = []
     for layer in model.layers:
-        (x,) = _layer_step(layer, x, nonneg=nonneg)
+        (x,) = _layer_step(layer, _one_signal(layer, x), nonneg=nonneg)
         codes.append(x)
     return codes
 
@@ -177,7 +209,7 @@ def rescsc_forward(model, x):
     nonneg = _nonneg(model.operator)
     codes = []
     for first, second in zip(model.layers[0::2], model.layers[1::2]):
-        z = np.asarray(x, dtype=float)
+        z = _one_signal(first, x)
         (x,) = _layer_step(first, z, nonneg=nonneg)
         codes.append(x)
         signal, init = x, None
@@ -199,15 +231,24 @@ def rescsc_forward(model, x):
     return codes
 
 
+def _dense(layer):
+    """``layer``, which must be a ``DenseLayer``."""
+    if not isinstance(layer, DenseLayer):
+        raise ShapeError(f"a dense model takes DenseLayer layers, got {type(layer).__name__}")
+    return layer
+
+
 @dataclass
 class MSDCSCModel:
     """Dense stack of MSD layers; channel count grows by w per layer."""
 
-    layers: list[LayerParams]
+    layers: list[DenseLayer]
     unfolding: int = 0
     solver: str = "ista"
 
     def __post_init__(self):
+        for layer in self.layers:
+            _dense(layer)
         _momentum(self.solver)  # rejects an unknown solver
         if self.unfolding < 0:
             raise ShapeError("unfolding must be >= 0")
@@ -222,9 +263,7 @@ def msdcsc_layer_forward(layer, x, unfolding, solver="ista"):
     bias = -beta/L the layer is exactly ``ista`` (or ``fista``) on its Lasso
     problem with iterations = 1 + unfolding.
     """
-    if layer.kernel_bank.padding != SAME:
-        raise ShapeError("dense layers require same-zero padding")
-    return _layer_step(layer, x, msd=True, steps=(1 + unfolding,), momentum=_momentum(solver))[0]
+    return _layer_step(_dense(layer), x, (1 + unfolding,), _momentum(solver))[0]
 
 
 def _momentum(solver):
@@ -237,15 +276,8 @@ def _momentum(solver):
 def msdcsc_forward(model, x):
     """The last dense layer's output, (*spatial, c + depth * w): each layer
     keeps its input's channels in its identity block and adds w."""
-    x = np.asarray(x, dtype=float)
-    for i, layer in enumerate(model.layers):
-        conv = layer.kernel_bank
-        if x.shape != conv.input_shape:
-            raise ShapeError(
-                f"layer {i}: input of shape {x.shape} does not match "
-                f"dictionary input {conv.input_shape}"
-            )
-        x = msdcsc_layer_forward(layer, x, model.unfolding, model.solver)
+    for layer in model.layers:
+        x = msdcsc_layer_forward(layer, _one_signal(layer, x), model.unfolding, model.solver)
     return x
 
 
@@ -281,6 +313,7 @@ def model_from_config(doc):
 
     layers = []
     shape = input_shape
+    layer_type = DenseLayer if kind == "msdcsc" else LayerParams
     for i in range(depth):
         if kind == "msdcsc":
             channels = input_shape[-1] + i * width
@@ -296,7 +329,7 @@ def model_from_config(doc):
             padding=padding,
             seed=seed + i,
         )
-        layers.append(LayerParams(bank, bias=np.full(width, bias_value)))
+        layers.append(layer_type(bank, bias=np.full(width, bias_value)))
         if kind != "msdcsc":
             shape = (*bank.out_spatial, width)
 

@@ -1,16 +1,14 @@
 """Lasso pursuit: one proximal-gradient loop and the ISTA/FISTA solvers.
 
-``proximal_gradient`` is the only ISTA/FISTA iteration in the package;
-``ista``/``fista`` (the per-sample reference solvers), every forward layer
-of :mod:`cscbench.models` (plain, residual and dense; layered thresholding
-is the plain model's forward pass) and the batched pursuits of
-:mod:`cscbench.learning` all run it. Steps are 1/L with
-L = 2 * lambda_max(D.T D), the constant stated alongside the update rule
-(the tight one is lambda_max(D.T D)); ``lipschitz_override`` sets another. Only the logging probe of
-:mod:`cscbench.learning`, a measurement rather than a model layer, steps
-otherwise: FISTA at 1/lambda_bar on the conv bank D alone, lambda_bar =
-``lmax_bound``, with the Huber loss (``huber``) on a dense layer, whose
-identity slot it fills in closed form.
+``proximal_gradient`` is the only ISTA/FISTA iteration in the package.
+``ista``/``fista``, the per-sample reference solvers, run it on one signal;
+every batched pursuit runs it through one entry, ``models._layer_step`` on a
+layer: the forward layers (layered thresholding is the plain model's
+forward pass) and the training, probe and sweep pursuits of
+:mod:`cscbench.learning`. Steps are 1/L with L = 2 * lambda_max(D.T D), the
+constant stated alongside the update rule (the tight one is
+lambda_max(D.T D)); ``lipschitz_override`` or a layer's ``scale`` sets
+another, as the logging probe's 1/lambda_bar on a conv bank does.
 ``lipschitz_bound`` gives every solver's L: certified, never below the
 true constant, as the ISTA/FISTA rates need (Beck & Teboulle 2009); a
 closed form from the taps' DFT for conv dictionaries, +2 for [I | D],
@@ -244,11 +242,6 @@ def iterates_at(iterates, steps):
         raise ShapeError(f"a pursuit takes at least one step (unfolding >= 0), got {min(wanted)}")
     at = {n: code for n, code in zip(range(1, max(wanted) + 1), iterates) if n in wanted}
     return [at[n] for n in steps]
-
-
-def last_iterate(iterates, steps):
-    """The code after ``steps`` >= 1 steps of a ``proximal_gradient`` run."""
-    return iterates_at(iterates, (steps,))[0]
 
 
 def _solve(problem, config, init, momentum):

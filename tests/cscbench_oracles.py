@@ -12,7 +12,7 @@ from cscbench.dictionary import ConvDictionary, MSDDictionary, project_to_kernel
 from cscbench.learning import TrainingRecord
 from cscbench.models import MSDCSCModel
 from cscbench.numeric import _check_threshold, soft_threshold
-from cscbench.pursuit import lipschitz_bound
+from cscbench.pursuit import iterates_at, lipschitz_bound
 
 
 def soft_threshold_nonneg(z, b):
@@ -85,6 +85,11 @@ def textbook_fista(mat, signal, beta, lipschitz, steps, *, momentum=True, nonneg
         y = x + ((t - 1.0) / t_next) * (x - x_prev) if momentum else x
         x_prev, t = x, t_next
     return x
+
+
+def last_iterate(iterates, steps):
+    """The code after ``steps`` >= 1 steps of a ``proximal_gradient`` run."""
+    return iterates_at(iterates, (steps,))[0]
 
 
 def _stack(codes, bank):

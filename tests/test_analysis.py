@@ -33,7 +33,7 @@ from cscbench.dictionary import (
 )
 from cscbench.errors import BoundInapplicableError, ShapeError
 from cscbench import models
-from cscbench.models import LayerParams
+from cscbench.models import DenseLayer
 from cscbench.pursuit import LassoProblem, lasso_objective
 
 
@@ -172,7 +172,7 @@ def test_theorem1_msd_objective_is_lifted_objective(rng):
 
 def test_proposition1_small_instance(rng):
     bank = random_dictionary((6, 1), (3,), 2, padding=SAME, seed=3)
-    layer = LayerParams(bank, bias=np.array([-0.2, -0.05]), scale=1.0)
+    layer = DenseLayer(bank, bias=np.array([-0.2, -0.05]), scale=1.0)
     x = np.abs(rng.standard_normal((6, 1)))
     assert proposition1_check(layer, x) < 1e-12
 
@@ -191,7 +191,7 @@ def test_proposition1_checks_the_models_dense_layer(monkeypatch, bias):
 
 def test_proposition1_shape_mismatch():
     bank = random_dictionary((6, 1), (3,), 2, padding=SAME, seed=3)
-    layer = LayerParams(bank, bias=np.zeros(2), scale=1.0)
+    layer = DenseLayer(bank, bias=np.zeros(2), scale=1.0)
     with pytest.raises(ShapeError):
         proposition1_check(layer, np.zeros((5, 1)))
 

@@ -2,6 +2,7 @@
 
 import csv
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from cscbench.learning import (
     _fraction_beta,
     _in_blocks,
     _probe,
-    _pursue,
     _update_kernels,
     build_fig_models,
     build_pursuit_model,
@@ -31,18 +31,18 @@ from cscbench.learning import (
     write_experiment_csv,
     write_sweep_csv,
 )
-from cscbench.models import model_from_config, msdcsc_layer_forward
+from cscbench.models import (DenseLayer, LayerParams, _layer_step, model_from_config,
+                             msdcsc_layer_forward)
 from cscbench.pursuit import (
     LassoProblem,
     PursuitConfig,
     fista,
     ista,
     lasso_objective,
-    last_iterate,
     lipschitz_bound,
     proximal_gradient,
 )
-from cscbench_oracles import _unstack, reference_learn
+from cscbench_oracles import _unstack, last_iterate, reference_learn
 
 
 def tiny_spec(**overrides):
@@ -69,12 +69,30 @@ def tiny_config(**overrides):
 # -- batched pursuit ----------------------------------------------------------------
 
 
+def _matrix_pursuit(mat, signals, beta, steps, momentum):
+    """Nonnegative ISTA (FISTA with ``momentum``) from zero on a dense matrix
+    over a batch of signals (B, rows), at step 1/``lipschitz_bound``."""
+    lipschitz = lipschitz_bound(mat)
+    iterates = proximal_gradient(mat, signals, beta / lipschitz, 1.0 / lipschitz, momentum,
+                                 nonneg=True)
+    return last_iterate(iterates, steps)
+
+
+def _conv_fista(bank, signals, beta, steps, lipschitz, huber=None):
+    """Nonnegative FISTA from zero on ``bank`` at step 1/``lipschitz`` over a
+    batch (B, *input), blocked as the probe runs it: ``_layer_step`` on a
+    plain layer with bias -beta/lipschitz and scale 1/lipschitz."""
+    layer = LayerParams(bank, bias=np.full(bank.width, -beta / lipschitz), scale=1.0 / lipschitz)
+    return _in_blocks(lambda block: _layer_step(layer, block, (steps,), True, huber=huber),
+                      signals)[0]
+
+
 def test_batched_ista_matches_per_sample_solver(rng):
     mat = rng.standard_normal((8, 12))
     signals = rng.standard_normal((8, 5))
     beta = 0.2
     lipschitz = lipschitz_bound(mat)
-    codes = _pursue(mat, signals.T, beta, 15, False, lipschitz)
+    codes = _matrix_pursuit(mat, signals.T, beta, 15, False)
     for j in range(5):
         problem = LassoProblem(mat, signals[:, j], beta)
         want = ista(
@@ -89,33 +107,39 @@ def test_batched_ista_matches_per_sample_solver(rng):
 @pytest.mark.parametrize("batch", [1, learning._BLOCK, learning._BLOCK + 1, 64])
 @pytest.mark.parametrize("momentum", [False, True])
 def test_blocked_pursue_matches_one_unblocked_run(rng, batch, momentum):
+    # training's path, ``_layer_step`` on a pursuit-mode layer over blocks of
+    # the batch, against one unblocked run on the layer's flat operator and
+    # on its dense matrix
     conv = random_dictionary((12, 2), (3,), 3, dilation=2, padding=SAME, seed=5)
-    for dictionary in (conv, MSDDictionary(conv), to_matrix(conv)):
-        signals = rng.standard_normal((batch, conv.rows))
-        lipschitz = lipschitz_bound(dictionary)
-        iterates = proximal_gradient(
-            dictionary, signals, 0.1 / lipschitz, 1.0 / lipschitz, momentum, nonneg=True
-        )
-        want = last_iterate(iterates, 12)
-        got = _pursue(dictionary, signals, 0.1, 12, momentum, lipschitz)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-12
+    for layer in (LayerParams.pursuit_mode(conv, 0.1), DenseLayer.pursuit_mode(conv, 0.1)):
+        signals = rng.standard_normal((batch, *conv.input_shape))
+        got = _in_blocks(lambda block: _layer_step(layer, block, (12,), momentum), signals)[0]
+        got = got.reshape(batch, -1)
+        if isinstance(layer, DenseLayer):
+            got = _unstack(got, conv)  # the flat face's (identity | conv) order
+        dictionary = layer.dictionary()
+        for operator in (dictionary, to_matrix(dictionary)):
+            iterates = proximal_gradient(operator, signals.reshape(batch, -1), -layer.bias[0],
+                                         layer.scale, momentum, nonneg=True)
+            want = last_iterate(iterates, 12)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_empty_batch_gives_empty_outputs():
     conv = random_dictionary((12, 2), (3,), 3, dilation=2, padding=SAME)
     signals = np.empty((0, conv.rows))
-    for dictionary in (conv, MSDDictionary(conv)):
-        codes = _pursue(dictionary, signals, 0.1, 5, True, lipschitz_bound(dictionary))
-        assert codes.shape == (0, dictionary.cols)
     codes, residuals = _in_blocks(
         lambda block: (conv.apply_adjoint(block), block[:, :3]), signals
     )
     assert codes.shape == (0, conv.cols) and residuals.shape == (0, 3)
-    arrays = signals.reshape(0, *conv.input_shape)  # the probe takes code arrays
-    for msd in (False, True):
-        shape = MSDDictionary(conv).stack_shape if msd else (*conv.out_spatial, conv.width)
-        assert _probe(conv, arrays, 0.1, 5, msd).shape == (0, *shape)
+    arrays = signals.reshape(0, *conv.input_shape)  # pursuits take code arrays
+    for layer in (LayerParams.pursuit_mode(conv, 0.1), DenseLayer.pursuit_mode(conv, 0.1)):
+        shape = layer.dictionary().stack_shape if isinstance(layer, DenseLayer) \
+            else (*conv.out_spatial, conv.width)
+        (codes,) = _in_blocks(lambda block: _layer_step(layer, block, (5,), True), arrays)
+        assert codes.shape == (0, *shape)
+        assert _probe(layer, arrays, 0.1, 5).shape == (0, *shape)
 
 
 @settings(max_examples=30)
@@ -143,9 +167,10 @@ def test_dense_probe_closed_form_is_the_optimum(
     x = scale * rng.uniform(0.0, 1.0, dense.rows) * (rng.uniform(size=dense.rows) < 0.7)
     problem = LassoProblem(to_matrix(dense), x, beta)
     closed = np.concatenate([np.maximum(x - beta, 0.0), np.zeros(bank.cols)])  # zero conv code
-    certified = not _pursue(bank, x[None], beta, 1, True, bank.lmax_bound, beta).any()
+    arrays = x.reshape(1, *bank.input_shape)
+    certified = not _conv_fista(bank, arrays, beta, 1, bank.lmax_bound, beta).any()
     if certified:
-        stack = _probe(bank, x.reshape(1, *bank.input_shape), beta, 3, True)
+        stack = _probe(DenseLayer(bank, bias=np.zeros(width)), arrays, beta, 3)
         assert np.array_equal(_unstack(stack.reshape(1, -1), bank)[0], closed)
         reference = fista(problem, PursuitConfig(3000, tol=1e-300, nonneg=True))
         want = lasso_objective(problem, closed)
@@ -174,12 +199,13 @@ def test_dense_probe_skips_only_fixed_points(rng):
     signals = rng.uniform(0.0, 1.0, (len(scales), bank.rows)) * scales[:, None]
     signals = signals[rng.permutation(len(signals))]
     lmax = bank.lmax_bound
-    live = _pursue(bank, signals, beta, 1, True, lmax, beta).any(axis=1)
+    arrays = signals.reshape(-1, *bank.input_shape)
+    live = _conv_fista(bank, arrays, beta, 1, lmax, beta).reshape(len(signals), -1).any(axis=1)
     assert 0 < np.count_nonzero(live) < len(signals)
-    got = _probe(bank, signals.reshape(-1, *bank.input_shape), beta, 40, True)
+    got = _probe(DenseLayer(bank, bias=np.zeros(bank.width)), arrays, beta, 40)
     got = _unstack(got.reshape(len(got), -1), bank)
     # one unskipped Huber-FISTA run over the whole batch, identity in closed form
-    conv = _pursue(bank, signals, beta, 40, True, lmax, beta)
+    conv = _conv_fista(bank, arrays, beta, 40, lmax, beta).reshape(len(signals), -1)
     want = np.hstack([np.maximum(signals - bank.apply(conv) - beta, 0.0), conv])
     assert not conv[~live].any()  # certified rows stay at zero
     assert np.array_equal(got, want)
@@ -229,8 +255,8 @@ def test_batched_ista_momentum_improves_objective(rng):
         resid = signals - mat @ codes.T
         return 0.5 * np.sum(resid**2) + 0.1 * np.sum(np.abs(codes))
 
-    plain = _pursue(mat, signals.T, 0.1, 25, False, lipschitz_bound(mat))
-    accel = _pursue(mat, signals.T, 0.1, 25, True, lipschitz_bound(mat))
+    plain = _matrix_pursuit(mat, signals.T, 0.1, 25, False)
+    accel = _matrix_pursuit(mat, signals.T, 0.1, 25, True)
     assert objective(accel) <= objective(plain) + 1e-9
 
 
@@ -307,13 +333,15 @@ def test_diverging_kernel_step_raises():
 
 def test_training_iteration_memory_high_water():
     # each block forms its kernel-gradient terms in turn and the last layer
-    # keeps no codes; a gradient over the whole batch peaks at 9.9 and 13.7 MB
+    # keeps no codes; a gradient over the whole batch peaks at 9.9 and 13.7 MB.
+    # Three iterations: a probe's arrays held while the next batch trains
+    # took the dense model's later iterations to 6.8 MB
     spec = SyntheticDatasetSpec()
     dataset = generate_dataset(spec)
     for model in build_fig_models(spec.dim, seed=spec.seed):
         tracemalloc.start()
         try:
-            learn_dictionaries(model, dataset, LearnConfig(outer_iterations=1))
+            learn_dictionaries(model, dataset, LearnConfig(outer_iterations=3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -333,21 +361,31 @@ def test_learn_dictionaries_runs_matrix_free(monkeypatch):
         assert len(records) == 2
 
 
-def _check_probe_objective(msd, outer_iterations):
+def _check_probe_objective(dense, outer_iterations):
     spec = SyntheticDatasetSpec()
     dataset = generate_dataset(spec)
-    model = build_fig_models(spec.dim, seed=spec.seed)[msd]
+    model = build_fig_models(spec.dim, seed=spec.seed)[dense]
     config = LearnConfig(outer_iterations=outer_iterations)
     _, records = learn_dictionaries(model, dataset, config)
     record = records[-1]
     # the last probe pursued the trained layer 1 on the held-out probe
     # signals: each iteration probes after its kernel step
-    first = model.layers[0].dictionary(msd)
-    problem = LassoProblem(first, dataset.test_signals[: config.probe_size], record.beta)
-    lambda_bar = lipschitz_bound(first) / 2.0
+    first = model.layers[0]
+    problem = LassoProblem(first.dictionary(), dataset.test_signals[: config.probe_size],
+                           record.beta)
+    lambda_bar = lipschitz_bound(first.dictionary()) / 2.0
 
     def objective(iterations, lipschitz):
-        codes = _pursue(first, problem.signal, record.beta, iterations, True, lipschitz)
+        # FISTA on the layer's whole Lasso, [I | D] for a dense one, at 1/lipschitz
+        threshold = record.beta / lipschitz
+        layer = replace(first, bias=np.full(first.bias.shape, -threshold), scale=1.0 / lipschitz)
+        if dense:
+            layer.passthrough_bias = -threshold
+        signals = problem.signal.reshape(-1, *first.kernel_bank.input_shape)
+        codes = _in_blocks(lambda block: _layer_step(layer, block, (iterations,), True), signals)[0]
+        codes = codes.reshape(len(codes), -1)
+        if dense:
+            codes = _unstack(codes, first.kernel_bank)
         return float(np.mean(lasso_objective(problem, codes)))
 
     # no worse than the probe at the layers' step and its former depth
@@ -356,16 +394,16 @@ def _check_probe_objective(msd, outer_iterations):
     assert abs(record.objective - reference) <= 1.5e-5 * reference
 
 
-@pytest.mark.parametrize("msd", [False, True])
-def test_probe_objective_at_fig4_defaults(msd):
-    _check_probe_objective(msd, outer_iterations=1)
+@pytest.mark.parametrize("dense", [False, True])
+def test_probe_objective_at_fig4_defaults(dense):
+    _check_probe_objective(dense, outer_iterations=1)
 
 
-@pytest.mark.parametrize("msd", [False, True])
-def test_probe_objective_at_a_later_fig4_iteration(msd):
+@pytest.mark.parametrize("dense", [False, True])
+def test_probe_objective_at_a_later_fig4_iteration(dense):
     # over a whole fig4 run the gap is widest at iterations 3 to 5; the
     # sixth record (iteration 5) probes kernels trained five times
-    _check_probe_objective(msd, outer_iterations=6)
+    _check_probe_objective(dense, outer_iterations=6)
 
 
 def test_learn_dictionaries_rejects_unknown_model():
@@ -395,13 +433,13 @@ def test_fig_models_share_first_layer_kernels_and_beta(rng):
     msd_bank = msd_model.layers[0].kernel_bank
     for a, b in zip(ml_bank.taps, msd_bank.taps):
         assert np.array_equal(a, b)
-    signals = rng.standard_normal((7, 12))
+    signals = rng.standard_normal((7, 12, 1))
     beta_ml = _fraction_beta(ml_bank, signals, 0.1)
     beta_msd = _fraction_beta(msd_bank, signals, 0.1)
     assert beta_ml == pytest.approx(beta_msd, abs=1e-15)
     # the beta reads the conv block alone, not the dense layer's identity
     dense_conv_block = to_matrix(MSDDictionary(msd_bank))[:, msd_bank.rows :]
-    want = 0.1 * np.max(np.abs(signals @ dense_conv_block))
+    want = 0.1 * np.max(np.abs(signals.reshape(7, -1) @ dense_conv_block))
     assert beta_msd == pytest.approx(want, rel=1e-13)
 
 
@@ -438,8 +476,8 @@ def test_reference_inputs_fixed_across_unfolding():
             assert sorted(results) == [0, 1, 2]
             for unfolding, (objectives, _) in results.items():
                 for i, (layer, ref) in enumerate(zip(model.layers, refs)):
-                    beta = -layer.bias[0] * layer.lipschitz(msd=True)
-                    problem = LassoProblem(layer.dictionary(msd=True),
+                    beta = -layer.bias[0] * layer.lipschitz()
+                    problem = LassoProblem(layer.dictionary(),
                                            ref.reshape(len(ref), -1), beta)
                     out = msdcsc_layer_forward(layer, ref, unfolding, "ista")
                     want = lasso_objective(problem,
@@ -531,7 +569,7 @@ def _reference_sweep(unfoldings, solver, seed):
             ref, chained, objectives = x, x, []
             for layer in model.layers:
                 out = msdcsc_layer_forward(layer, ref, unfolding, solver)
-                beta = -layer.bias[0] * layer.lipschitz(msd=True)
+                beta = -layer.bias[0] * layer.lipschitz()
                 problem = LassoProblem(MSDDictionary(layer.kernel_bank),
                                        ref.reshape(len(ref), -1), beta)
                 code = _unstack(out.reshape(len(out), -1), layer.kernel_bank)

@@ -15,6 +15,7 @@ from cscbench.models import (
     NONNEG,
     RESCSC_VARIANTS,
     SOFT,
+    DenseLayer,
     LayerParams,
     MLCSCModel,
     MSDCSCModel,
@@ -53,7 +54,7 @@ def pursuit_layer(length, channels, width, seed=0, beta=0.15, dilation=1):
     bank = random_dictionary(
         (length, channels), (3,), width, dilation=dilation, padding=SAME, seed=seed
     )
-    return LayerParams.pursuit_mode(bank, beta, msd=True)
+    return DenseLayer.pursuit_mode(bank, beta)
 
 
 # -- plain stacks ---------------------------------------------------------------
@@ -225,7 +226,7 @@ def test_msd_layer_unfolding_zero_is_concat_relu(rng):
     x = np.abs(rng.standard_normal((8, 1)))
     out = msdcsc_layer_forward(layer, x, unfolding=0)
     conv = layer.kernel_bank
-    scale = layer.effective_scale(msd=True)
+    scale = layer.effective_scale()
     want_conv = np.maximum(scale * conv.adjoint_array(x) + layer.bias, 0.0)
     want_pass = np.maximum(scale * x + layer.passthrough_bias, 0.0)
     assert np.max(np.abs(out[..., :1] - want_pass)) < 1e-14
@@ -255,7 +256,7 @@ def test_msd_layer_batch_equals_per_sample_calls(rng, solver):
     # negative thresholds
     layers = [
         pursuit_layer(9, 2, 3, seed=11, beta=0.2, dilation=2),
-        LayerParams(bank, bias=np.array([0.1, -0.2, 0.3]), scale=0.2, passthrough_bias=0.05),
+        DenseLayer(bank, bias=np.array([0.1, -0.2, 0.3]), scale=0.2, passthrough_bias=0.05),
     ]
     xs = rng.standard_normal((4, 9, 2))
     for layer in layers:
@@ -276,7 +277,7 @@ def test_layer_step_reads_every_depth_of_one_run(rng, monkeypatch, solver, batch
     bank = random_dictionary((9, 2), (3,), 3, dilation=2, padding=SAME, seed=3)
     layers = [
         pursuit_layer(9, 2, 3, seed=11, beta=0.2, dilation=2),
-        LayerParams(bank, bias=np.array([0.1, -0.2, 0.3]), scale=0.2, passthrough_bias=0.05),
+        DenseLayer(bank, bias=np.array([0.1, -0.2, 0.3]), scale=0.2, passthrough_bias=0.05),
     ]
     x = rng.standard_normal((4, 9, 2) if batched else (9, 2))
     runs = []
@@ -287,7 +288,7 @@ def test_layer_step_reads_every_depth_of_one_run(rng, monkeypatch, solver, batch
         return proximal_gradient(*args)
 
     monkeypatch.setattr(pursuit, "proximal_gradient", counted)
-    outs = [_layer_step(layer, x, True, steps, solver == "fista") for layer in layers]
+    outs = [_layer_step(layer, x, steps, solver == "fista") for layer in layers]
     monkeypatch.undo()
     assert len(runs) == len(layers)  # one run per layer serves every count
     for layer, layer_outs in zip(layers, outs):
@@ -337,8 +338,14 @@ def test_msdcsc_model_validation():
     bank = random_dictionary((6, 1), (3,), 2, padding="valid", seed=0)
     with pytest.raises(ShapeError):
         msdcsc_layer_forward(
-            LayerParams(bank, bias=np.zeros(2), scale=1.0), np.zeros((4, 1)), 0
+            DenseLayer(bank, bias=np.zeros(2), scale=1.0), np.zeros((4, 1)), 0
         )
+    # a plain layer does not serve as a dense one
+    plain = LayerParams(layer.kernel_bank, bias=layer.bias, scale=layer.scale)
+    with pytest.raises(ShapeError):
+        MSDCSCModel([layer, plain])
+    with pytest.raises(ShapeError):
+        msdcsc_layer_forward(plain, np.zeros((6, 1)), 0)
 
 
 def test_stack_code_round_trip(rng):
@@ -364,10 +371,23 @@ def test_layer_params_validation():
         LayerParams(bank, bias=np.zeros(2), scale=0.0)
 
 
+def test_layer_type_sets_the_dictionary():
+    bank = random_dictionary((6, 1), (3,), 2, padding=SAME, seed=0)
+    plain = LayerParams(bank, bias=np.zeros(2))
+    assert type(plain) is LayerParams and plain.dictionary() is bank
+    assert not hasattr(plain, "passthrough_bias")
+    # an identity-channel bias makes the layer dense
+    dense = LayerParams(bank, bias=np.zeros(2), passthrough_bias=-0.1)
+    assert type(dense) is DenseLayer and dense.passthrough_bias == -0.1
+    assert isinstance(dense.dictionary(), MSDDictionary) and dense.dictionary().conv is bank
+    assert dense.lipschitz() == pytest.approx(plain.lipschitz() + 2.0, abs=1e-12)
+    assert type(LayerParams.pursuit_mode(bank, 0.4)) is LayerParams
+
+
 def test_pursuit_mode_constants():
     bank = random_dictionary((6, 1), (3,), 2, padding=SAME, seed=0)
-    layer = LayerParams.pursuit_mode(bank, beta=0.4, msd=True)
-    lipschitz = layer.lipschitz(msd=True)
+    layer = DenseLayer.pursuit_mode(bank, beta=0.4)
+    lipschitz = layer.lipschitz()
     assert layer.scale == pytest.approx(1.0 / lipschitz, abs=1e-15)
     assert np.allclose(layer.bias, -0.4 / lipschitz)
     assert layer.passthrough_bias == pytest.approx(-0.4 / lipschitz, abs=1e-15)

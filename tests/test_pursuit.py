@@ -29,12 +29,11 @@ from cscbench.pursuit import (
     ista,
     lasso_objective,
     iterates_at,
-    last_iterate,
     lipschitz_bound,
     lipschitz_constant,
     proximal_gradient,
 )
-from cscbench_oracles import soft_threshold_nonneg, textbook_fista
+from cscbench_oracles import last_iterate, soft_threshold_nonneg, textbook_fista
 from strategies import conv_dictionaries
 
 
